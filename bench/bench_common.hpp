@@ -13,12 +13,14 @@
 // tracked across commits without scraping tables.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -69,9 +71,24 @@ struct BenchEntry {
   std::vector<std::pair<std::string, double>> counters;
 };
 
+/// The CPU model string from /proc/cpuinfo's first "model name" line;
+/// "unknown" where that file or line does not exist.
+inline std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
 /// Writes the nsrel-bench-v1 document: schema, binary, build identity,
-/// one record per entry. Stable key order; numbers round-trip through
-/// strtod.
+/// the host it ran on, one record per entry. Stable key order; numbers
+/// round-trip through strtod.
 inline void write_bench_json(std::ostream& out, const std::string& binary,
                              const std::vector<BenchEntry>& entries) {
   const obs::BuildInfo& build = obs::build_info();
@@ -84,6 +101,11 @@ inline void write_bench_json(std::ostream& out, const std::string& binary,
   json.key("git_sha").value(build.git_sha);
   json.key("compiler").value(build.compiler);
   json.key("build_type").value(build.build_type);
+  json.end_object();
+  json.key("host").begin_object();
+  json.key("hardware_threads")
+      .value(std::uint64_t{std::thread::hardware_concurrency()});
+  json.key("cpu_model").value(cpu_model());
   json.end_object();
   json.key("benchmarks").begin_array();
   for (const BenchEntry& entry : entries) {

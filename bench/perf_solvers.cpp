@@ -82,10 +82,9 @@ void BM_NirClosedForm(benchmark::State& state) {
 }
 BENCHMARK(BM_NirClosedForm)->DenseRange(1, 7);
 
-// Dense vs sparse elimination on the block-recursive absorption matrix —
-// the ablation behind SolverPolicy's auto threshold. A wider redundancy
-// set lifts the R > k precondition out of the way so k can sweep past
-// the dense 4096-state ceiling on the sparse side.
+// Elimination on the block-recursive absorption matrix as k grows. A
+// wider redundancy set lifts the R > k precondition out of the way so k
+// can sweep to the k = 16 cap.
 models::NoInternalRaidParams crossover_params(int k) {
   models::NoInternalRaidParams p = nir_params(2);
   p.redundancy_set_size = 32;
@@ -93,33 +92,17 @@ models::NoInternalRaidParams crossover_params(int k) {
   return p;
 }
 
-void BM_NirRecursiveSolveDense(benchmark::State& state) {
-  const models::NoInternalRaidModel model(
-      crossover_params(static_cast<int>(state.range(0))));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model.mttdl_recursive_matrix(ctmc::SolverPolicy::kDense).value());
-  }
-  state.counters["states"] =
-      static_cast<double>((std::size_t{2} << state.range(0)) - 1);
-}
-// Dense GTH is O(n^3): k = 9 (1023 states) is already ~a second per
-// solve, so the dense side stops there.
-BENCHMARK(BM_NirRecursiveSolveDense)->DenseRange(4, 9);
-
 void BM_NirRecursiveSolveSparse(benchmark::State& state) {
   const models::NoInternalRaidModel model(
       crossover_params(static_cast<int>(state.range(0))));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model.mttdl_recursive_matrix(ctmc::SolverPolicy::kSparse).value());
+    benchmark::DoNotOptimize(model.mttdl_recursive_matrix().value());
   }
   state.counters["states"] =
       static_cast<double>((std::size_t{2} << state.range(0)) - 1);
 }
-// The sparse path carries the recursion to the k = 16 cap (131071
-// states, ~0.1 s); both backends return bit-identical results, so these
-// two benches measure the exact same computation.
+// Leaf-first elimination has zero fill-in on these trees, so the solve
+// is O(n) all the way to the k = 16 cap (131071 states, ~0.1 s).
 BENCHMARK(BM_NirRecursiveSolveSparse)->DenseRange(4, 16);
 
 void BM_AbsorbingFullAnalysis(benchmark::State& state) {
@@ -133,7 +116,7 @@ void BM_AbsorbingFullAnalysis(benchmark::State& state) {
 }
 // Beyond k = 4 the realistic-rate chain's absorption matrix drops below
 // the solver's rcond guard (the MTTDL overflows what LU can resolve),
-// so the full-analysis bench stops there; BM_NirRecursiveSolve* covers
+// so the full-analysis bench stops there; BM_NirRecursiveSolveSparse covers
 // larger state spaces through the guard-free elimination path.
 BENCHMARK(BM_AbsorbingFullAnalysis)->DenseRange(1, 4);
 

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/error.hpp"
+#include "util/format.hpp"
 
 namespace nsrel::cli {
 
@@ -19,9 +21,11 @@ std::vector<std::string> to_tokens(int argc, const char* const* argv) {
 
 /// The few flags that take no value; everything else is `--key value`.
 bool is_bare_flag(const std::string& key) {
-  return key == "version" || key == "metrics" || key == "progress" ||
-         key == "cache-stats";
+  return key == "help" || key == "version" || key == "metrics" ||
+         key == "progress" || key == "cache-stats";
 }
+
+bool is_flag(const std::string& token) { return token.rfind("--", 0) == 0; }
 
 }  // namespace
 
@@ -29,18 +33,20 @@ Args::Args(int argc, const char* const* argv) : Args(to_tokens(argc, argv)) {}
 
 Args::Args(const std::vector<std::string>& tokens) {
   std::size_t i = 0;
-  if (i < tokens.size() && tokens[i].rfind("--", 0) != 0) {
+  if (i < tokens.size() && !is_flag(tokens[i])) {
     command_ = tokens[i];
     ++i;
   }
   for (; i < tokens.size(); ++i) {
     const std::string& token = tokens[i];
-    if (token.rfind("--", 0) != 0) {
+    if (!is_flag(token)) {
       // Positional operands exist only for the file-reading commands
       // (diff's two documents, events' journal, report's inputs); after
       // any other command a bare token is a typo.
-      NSREL_EXPECTS(command_ == "diff" || command_ == "events" ||
-                    command_ == "report");  // stray positional argument
+      if (command_ != "diff" && command_ != "events" && command_ != "report") {
+        throw ContractViolation("unexpected argument '" + token + "'" +
+                                (command_.empty() ? "" : " after " + command_));
+      }
       positionals_.push_back(token);
       continue;
     }
@@ -49,7 +55,11 @@ Args::Args(const std::vector<std::string>& tokens) {
       flags_[key] = "1";
       continue;
     }
-    NSREL_EXPECTS(i + 1 < tokens.size());  // flag without a value
+    // A value never starts with "--" (negative numbers take one dash),
+    // so `--format --jobs 2` is a missing value, not format "--jobs".
+    if (i + 1 >= tokens.size() || is_flag(tokens[i + 1])) {
+      throw ContractViolation("flag " + token + " requires a value");
+    }
     flags_[key] = tokens[++i];
   }
 }
@@ -77,10 +87,12 @@ double Args::get_double(const std::string& key, double fallback) const {
 }
 
 int Args::get_int(const std::string& key, int fallback) const {
-  const double value = get_double(key, static_cast<double>(fallback));
-  const int as_int = static_cast<int>(value);
-  NSREL_EXPECTS(static_cast<double>(as_int) == value);  // reject 3.5 etc.
-  return as_int;
+  consumed_.insert(key);
+  const auto it = flags_.find(key);
+  if (it == flags_.end()) return fallback;
+  const Expected<int> value = parse_int(it->second, "cli.args", "--" + key);
+  if (!value.has_value()) throw ContractViolation(value.error().message());
+  return value.value();
 }
 
 std::vector<std::string> Args::unused() const {

@@ -16,12 +16,13 @@ class Args {
  public:
   /// Parses {argv[1], ...}. The first non-flag token is the command;
   /// everything else must be `--key value` pairs, except for the
-  /// whitelisted valueless flags (--version, --metrics, --progress,
-  /// --cache-stats) which parse as present with value "1", and the
-  /// commands that take positional operands (`diff`, `events`, and
-  /// `report`, whose operands are file paths). Throws ContractViolation on a
-  /// flag without a value or a stray positional token after any other
-  /// command.
+  /// whitelisted valueless flags (--help, --version, --metrics,
+  /// --progress, --cache-stats) which parse as present with value "1",
+  /// and the commands that take positional operands (`diff`, `events`,
+  /// and `report`, whose operands are file paths). Throws
+  /// ContractViolation naming the token on a flag without a value
+  /// (including one followed directly by another flag) or a stray
+  /// positional token after any other command.
   Args(int argc, const char* const* argv);
 
   /// Convenience for tests.
@@ -32,6 +33,9 @@ class Args {
   [[nodiscard]] bool has(const std::string& key) const;
 
   /// Typed accessors; throw ContractViolation when present but malformed.
+  /// get_int is range-checked: the message carries parse_int's typed
+  /// invalid_parameter error (not a number, not an integer, outside the
+  /// int range).
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
   [[nodiscard]] double get_double(const std::string& key,

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "ctmc/dot.hpp"
-#include "ctmc/solver_policy.hpp"
 #include "engine/engine.hpp"
 #include "engine/grid.hpp"
 #include "engine/render.hpp"
@@ -80,15 +79,12 @@ commands:
                 the service life (--years, --confidence)
   version       build identity: semver, git SHA, compiler, build type
                 (--version anywhere does the same)
-  help          this text
+  help          this text (--help anywhere does the same)
 
 configuration flags:
   --scheme none|raid5|raid6   internal redundancy        (default raid5)
   --ft K                      node fault tolerance       (default 2)
   --method exact|closed       solution path              (default exact)
-  --solver auto|dense|sparse  CTMC solve backend         (default auto;
-                              backends are bit-identical — auto switches
-                              to sparse above 63 transient states)
 
 evaluation flags (analyze | compare | sweep; all three run through the
 parallel grid-evaluation engine — output never depends on --jobs):
@@ -152,10 +148,6 @@ exit codes:
 
 core::Method method_from_args(const Args& args) {
   return core::parse_method(args.get_string("method", "exact"));
-}
-
-ctmc::SolverPolicy solver_from_args(const Args& args) {
-  return ctmc::parse_solver_policy(args.get_string("solver", "auto"));
 }
 
 /// Shared evaluation flags of analyze/compare/sweep. --csv 1 is the
@@ -239,13 +231,12 @@ int run_analyze(const Args& args, std::ostream& out, std::ostream& err) {
   const core::SystemConfig system = config_from_args(args);
   const core::Configuration configuration = configuration_from_args(args);
   const core::Method method = method_from_args(args);
-  const ctmc::SolverPolicy solver = solver_from_args(args);
   const core::ReliabilityTarget target{args.get_double("target", 2e-3)};
   const EvalFlags flags = eval_flags_from_args(args);
   if (const int rc = check_unused(args, err); rc != 0) return rc;
 
-  engine::Grid grid = engine::single_point(system, {configuration}, method);
-  grid.solver = solver;
+  const engine::Grid grid =
+      engine::single_point(system, {configuration}, method);
   const engine::ResultSet results = engine::evaluate(grid, flags.options);
   if (flags.format == report::OutputFormat::kJson) {
     engine::write_json(results, out,
@@ -290,14 +281,12 @@ int run_analyze(const Args& args, std::ostream& out, std::ostream& err) {
 int run_compare(const Args& args, std::ostream& out, std::ostream& err) {
   const core::SystemConfig system = config_from_args(args);
   const core::Method method = method_from_args(args);
-  const ctmc::SolverPolicy solver = solver_from_args(args);
   const core::ReliabilityTarget target{args.get_double("target", 2e-3)};
   const EvalFlags flags = eval_flags_from_args(args);
   if (const int rc = check_unused(args, err); rc != 0) return rc;
 
-  engine::Grid grid =
+  const engine::Grid grid =
       engine::single_point(system, core::all_configurations(), method);
-  grid.solver = solver;
   const engine::ResultSet results = engine::evaluate(grid, flags.options);
   switch (flags.format) {
     case report::OutputFormat::kTable:
@@ -353,7 +342,6 @@ int run_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   const int steps = args.get_int("steps", 5);
   const core::Configuration configuration = configuration_from_args(args);
   const core::Method method = method_from_args(args);
-  const ctmc::SolverPolicy solver = solver_from_args(args);
   const core::SystemConfig base = config_from_args(args);
   EvalFlags flags = eval_flags_from_args(args);
   const bool progress = args.has("progress");
@@ -370,11 +358,10 @@ int run_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   }
 
   // Log-spaced points: sensitivity plots in the paper span decades.
-  engine::Grid grid = engine::parameter_sweep(
+  const engine::Grid grid = engine::parameter_sweep(
       base, param,
       engine::spaced_points(from, to, steps, /*log_scale=*/true),
       {configuration}, method);
-  grid.solver = solver;
   std::optional<obs::ProgressMeter> meter;
   if (progress) {
     meter.emplace(err, "cells",
@@ -839,9 +826,9 @@ int run_version(std::ostream& out) {
 
 int dispatch_command(const Args& args, std::ostream& out, std::ostream& err) {
   const std::string& command = args.command();
-  if (command.empty() || command == "help") {
+  if (command.empty()) {
     out << kUsage;
-    return command.empty() ? kExitUsage : kExitOk;
+    return kExitUsage;
   }
   if (command == "analyze") return run_analyze(args, out, err);
   if (command == "compare") return run_compare(args, out, err);
@@ -866,6 +853,11 @@ int dispatch(const Args& args, std::ostream& out, std::ostream& err) {
   // validated, so `nsrel sweep --version` still just prints and exits 0.
   if (args.command() == "version" || args.has("version")) {
     return run_version(out);
+  }
+  // --help likewise: usage on stdout, exit 0, whatever else was given.
+  if (args.command() == "help" || args.has("help")) {
+    out << kUsage;
+    return kExitOk;
   }
   // One observability session per command: --trace/--metrics/--events/
   // --metrics-out are global flags, consumed here so every command

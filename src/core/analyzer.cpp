@@ -23,16 +23,12 @@ namespace {
 /// on: a one-byte family/method tag followed by the model parameters.
 /// Bitwise-equal keys imply bitwise-equal solves.
 std::string nir_solve_key(const models::NoInternalRaidParams& p,
-                          Method method, ctmc::SolverPolicy policy) {
+                          Method method) {
   std::string key;
   key.reserve(3 + 4 * sizeof(int) + 6 * sizeof(double));
   key.push_back('N');
   key.push_back(static_cast<char>(method));
   key.push_back(static_cast<char>(p.repair_policy));
-  // The elimination backends are bit-identical, so distinct policies
-  // could share entries — but the key states what actually ran, and a
-  // duplicated solve is cheaper than a wrong aliasing assumption.
-  key.push_back(static_cast<char>(policy));
   append_key_bytes(key, p.node_set_size);
   append_key_bytes(key, p.redundancy_set_size);
   append_key_bytes(key, p.fault_tolerance);
@@ -46,14 +42,12 @@ std::string nir_solve_key(const models::NoInternalRaidParams& p,
   return key;
 }
 
-std::string ir_solve_key(const models::InternalRaidParams& p, Method method,
-                         ctmc::SolverPolicy policy) {
+std::string ir_solve_key(const models::InternalRaidParams& p, Method method) {
   std::string key;
   key.reserve(3 + 3 * sizeof(int) + 4 * sizeof(double));
   key.push_back('I');
   key.push_back(static_cast<char>(method));
   key.push_back(static_cast<char>(p.repair_policy));
-  key.push_back(static_cast<char>(policy));
   append_key_bytes(key, p.node_set_size);
   append_key_bytes(key, p.redundancy_set_size);
   append_key_bytes(key, p.fault_tolerance);
@@ -69,19 +63,18 @@ std::string ir_solve_key(const models::InternalRaidParams& p, Method method,
 /// values, so a hit on a known-bad key replays the original error
 /// without re-running the failing solve.
 template <typename Solve>
-[[nodiscard]] Expected<double> cached_solve(SolveCache* cache, const char* backend,
-                              const std::string& key, Solve solve) {
+[[nodiscard]] Expected<double> cached_solve(SolveCache* cache,
+                                            const std::string& key,
+                                            Solve solve) {
   obs::Span span(obs::probe::kSpanSolve, obs::probe::kSpanCategoryCore);
   if (obs::Journal::enabled()) {
-    obs::Journal::instance().record(
-        obs::seq_event(obs::event::kSolveStart).arg("backend", backend));
+    obs::Journal::instance().record(obs::seq_event(obs::event::kSolveStart));
   }
   // Brackets every exit below so hit and computed outcomes journal alike.
   const auto journal_end = [&](const Expected<double>& outcome) {
     if (obs::Journal::enabled()) {
       obs::Journal::instance().record(
           obs::seq_event(obs::event::kSolveEnd)
-              .arg("backend", backend)
               .arg("outcome", outcome.has_value()
                                   ? "ok"
                                   : error_code_name(outcome.error().code)));
@@ -240,17 +233,16 @@ sim::MttdlEstimate Analyzer::simulate_mttdl(
 }
 
 AnalysisResult Analyzer::analyze(const Configuration& configuration,
-                                 Method method, SolveCache* cache,
-                                 ctmc::SolverPolicy policy) const {
+                                 Method method, SolveCache* cache) const {
   NSREL_EXPECTS(configuration.node_fault_tolerance >= 1);
   NSREL_EXPECTS(configuration.node_fault_tolerance <
                 config_.redundancy_set_size);
-  return try_analyze(configuration, method, cache, policy).value_or_throw();
+  return try_analyze(configuration, method, cache).value_or_throw();
 }
 
 [[nodiscard]] Expected<AnalysisResult> Analyzer::try_analyze(
-    const Configuration& configuration, Method method, SolveCache* cache,
-    ctmc::SolverPolicy policy) const {
+    const Configuration& configuration, Method method,
+    SolveCache* cache) const {
   if (configuration.node_fault_tolerance < 1 ||
       configuration.node_fault_tolerance >= config_.redundancy_set_size) {
     return Error{ErrorCode::kInvalidParameter, "core.analyzer",
@@ -296,22 +288,18 @@ AnalysisResult Analyzer::analyze(const Configuration& configuration,
     Expected<double> mttdl_hours{0.0};
     if (configuration.internal == InternalScheme::kNone) {
       const models::NoInternalRaidParams p = nir_params(configuration);
-      mttdl_hours =
-          cached_solve(cache, ctmc::solver_policy_name(policy),
-                       nir_solve_key(p, method, policy), [&] {
-            const models::NoInternalRaidModel model(p);
-            return method == Method::kExactChain
-                       ? model.mttdl_exact(policy)
-                       : model.mttdl_closed_form();
-          });
+      mttdl_hours = cached_solve(cache, nir_solve_key(p, method), [&] {
+        const models::NoInternalRaidModel model(p);
+        return method == Method::kExactChain ? model.mttdl_exact()
+                                             : model.mttdl_closed_form();
+      });
     } else {
       const models::InternalRaidParams p = ir_params(configuration);
       result.array_failure_rate = p.array_failure;
       result.sector_error_rate = p.sector_error;
-      mttdl_hours = cached_solve(cache, ctmc::solver_policy_name(policy),
-                                 ir_solve_key(p, method, policy), [&] {
+      mttdl_hours = cached_solve(cache, ir_solve_key(p, method), [&] {
         const models::InternalRaidNodeModel model(p);
-        return method == Method::kExactChain ? model.mttdl_exact(policy)
+        return method == Method::kExactChain ? model.mttdl_exact()
                                              : model.mttdl_closed_form();
       });
     }

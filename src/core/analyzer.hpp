@@ -10,7 +10,6 @@
 #include "core/solve_cache.hpp"
 #include "core/system_config.hpp"
 #include "ctmc/chain.hpp"
-#include "ctmc/solver_policy.hpp"
 #include "models/internal_raid.hpp"
 #include "models/no_internal_raid.hpp"
 #include "rebuild/planner.hpp"
@@ -55,14 +54,10 @@ class Analyzer {
   /// Full analysis of one configuration. With a non-null `cache`, the
   /// chain solve (the expensive step) is memoized under a key built from
   /// the exact model parameters — a hit returns bit-identical results to
-  /// a fresh solve, so caching never changes output. `policy` picks the
-  /// CTMC solve backend; the elimination backends are bit-identical, so
-  /// it never changes results either (it is still part of the cache key,
-  /// because the guarantee is per-path, not assumed).
+  /// a fresh solve, so caching never changes output.
   [[nodiscard]] AnalysisResult analyze(
       const Configuration& configuration, Method method = Method::kExactChain,
-      SolveCache* cache = nullptr,
-      ctmc::SolverPolicy policy = ctmc::SolverPolicy::kAuto) const;
+      SolveCache* cache = nullptr) const;
 
   /// Non-throwing form of analyze(): every failure mode comes back as a
   /// typed Error instead of an exception — out-of-range or non-finite
@@ -74,8 +69,7 @@ class Analyzer {
   /// successful ones, so a cache hit replays the error bit-identically.
   [[nodiscard]] Expected<AnalysisResult> try_analyze(
       const Configuration& configuration, Method method = Method::kExactChain,
-      SolveCache* cache = nullptr,
-      ctmc::SolverPolicy policy = ctmc::SolverPolicy::kAuto) const;
+      SolveCache* cache = nullptr) const;
 
   /// Shortcuts.
   [[nodiscard]] Hours mttdl(const Configuration& configuration,

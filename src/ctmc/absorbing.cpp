@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "ctmc/elimination.hpp"
+#include "ctmc/lu_backend.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/sparse/sparse_lu.hpp"
 #include "linalg/sparse/sparse_matrix.hpp"
@@ -122,21 +123,18 @@ template <typename Factorization>
 
 }  // namespace
 
-AbsorbingAnalysis AbsorbingSolver::analyze(const Chain& chain, StateId initial,
-                                           SolverPolicy policy) {
-  return try_analyze(chain, initial, {}, policy).value_or_throw();
+AbsorbingAnalysis AbsorbingSolver::analyze(const Chain& chain,
+                                           StateId initial) {
+  return try_analyze(chain, initial).value_or_throw();
 }
 
 AbsorbingAnalysis AbsorbingSolver::analyze_distribution(
-    const Chain& chain, const std::vector<double>& initial,
-    SolverPolicy policy) {
-  return try_analyze_distribution(chain, initial, {}, policy)
-      .value_or_throw();
+    const Chain& chain, const std::vector<double>& initial) {
+  return try_analyze_distribution(chain, initial).value_or_throw();
 }
 
 [[nodiscard]] Expected<AbsorbingAnalysis> AbsorbingSolver::try_analyze(
-    const Chain& chain, StateId initial, const NumericalGuards& guards,
-    SolverPolicy policy) {
+    const Chain& chain, StateId initial, const NumericalGuards& guards) {
   NSREL_EXPECTS(initial < chain.state_count());
   NSREL_EXPECTS(chain.state(initial).kind == StateKind::kTransient);
   const auto transient = chain.transient_states();
@@ -144,12 +142,12 @@ AbsorbingAnalysis AbsorbingSolver::analyze_distribution(
   for (std::size_t i = 0; i < transient.size(); ++i) {
     if (transient[i] == initial) pi0[i] = 1.0;
   }
-  return try_analyze_distribution(chain, pi0, guards, policy);
+  return try_analyze_distribution(chain, pi0, guards);
 }
 
 [[nodiscard]] Expected<AbsorbingAnalysis> AbsorbingSolver::try_analyze_distribution(
     const Chain& chain, const std::vector<double>& initial,
-    const NumericalGuards& guards, SolverPolicy policy) {
+    const NumericalGuards& guards) {
   const std::string defect = chain.validate();
   NSREL_EXPECTS(defect.empty());
   const auto transient = chain.transient_states();
@@ -157,7 +155,8 @@ AbsorbingAnalysis AbsorbingSolver::analyze_distribution(
   NSREL_EXPECTS(approx_equal(
       std::accumulate(initial.begin(), initial.end(), 0.0), 1.0, 1e-9));
 
-  const bool sparse_backend = use_sparse(policy, transient.size());
+  const bool sparse_backend =
+      transient.size() >= detail::kSparseLuMinDimension;
   obs::Span span(obs::probe::kSpanAbsorbingSolve,
                  obs::probe::kSpanCategoryCtmc);
   if (span.armed()) {
@@ -168,20 +167,15 @@ AbsorbingAnalysis AbsorbingSolver::analyze_distribution(
     const linalg::sparse::SparseLu lu(sparse_absorption_matrix(chain));
     return finish_analysis(chain, lu, initial, guards);
   }
-  if (policy == SolverPolicy::kDense && dense_refuses(transient.size())) {
-    return dense_dimension_error("ctmc.absorbing", transient.size());
-  }
   const linalg::LuDecomposition lu(chain.absorption_matrix());
   return finish_analysis(chain, lu, initial, guards);
 }
 
-double AbsorbingSolver::mttdl_hours(const Chain& chain, StateId initial,
-                                    SolverPolicy policy) {
+double AbsorbingSolver::mttdl_hours(const Chain& chain, StateId initial) {
   // The GTH-style elimination path: identical to the LU route at normal
   // conditioning, and still exact when MTTDL/rate ratios exceed double
   // precision (where LU produces garbage, including negative times).
-  return EliminationSolver::mean_absorption_time_hours(chain, initial,
-                                                       policy);
+  return EliminationSolver::mean_absorption_time_hours(chain, initial);
 }
 
 }  // namespace nsrel::ctmc

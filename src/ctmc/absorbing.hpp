@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "ctmc/chain.hpp"
-#include "ctmc/solver_policy.hpp"
 #include "util/error.hpp"
 
 namespace nsrel::ctmc {
@@ -39,37 +38,31 @@ class AbsorbingSolver {
   /// Numerical failures (singular or ill-conditioned absorption matrix,
   /// non-finite results) throw ErrorException; use try_analyze to get
   /// the typed error without an exception.
-  [[nodiscard]] static AbsorbingAnalysis analyze(
-      const Chain& chain, StateId initial = 0,
-      SolverPolicy policy = SolverPolicy::kAuto);
+  [[nodiscard]] static AbsorbingAnalysis analyze(const Chain& chain,
+                                                 StateId initial = 0);
 
   /// Same, with an arbitrary initial distribution over transient states
   /// (indexed like Chain::transient_states(); must sum to ~1).
   [[nodiscard]] static AbsorbingAnalysis analyze_distribution(
-      const Chain& chain, const std::vector<double>& initial,
-      SolverPolicy policy = SolverPolicy::kAuto);
+      const Chain& chain, const std::vector<double>& initial);
 
   /// Non-throwing forms: numerical-health failures come back as typed
   /// errors (singular_generator, ill_conditioned below guards.min_rcond,
   /// non_finite_result). Caller-bug preconditions (bad initial state,
   /// size mismatch, invalid chain) still throw ContractViolation.
-  /// `policy` selects the factorization backend (dense partial-pivot LU
-  /// vs Markowitz sparse LU); the two agree to the bound documented in
-  /// DESIGN.md §11, and a forced-dense solve above kDenseMaxDimension
-  /// is refused with kInvalidParameter.
+  /// The factorization is dense partial-pivot LU below 64 transient
+  /// states and Markowitz sparse LU at or above (ctmc/lu_backend.hpp);
+  /// the two agree to the bound documented in DESIGN.md §11.
   [[nodiscard]] static Expected<AbsorbingAnalysis> try_analyze(
       const Chain& chain, StateId initial = 0,
-      const NumericalGuards& guards = {},
-      SolverPolicy policy = SolverPolicy::kAuto);
+      const NumericalGuards& guards = {});
   [[nodiscard]] static Expected<AbsorbingAnalysis> try_analyze_distribution(
       const Chain& chain, const std::vector<double>& initial,
-      const NumericalGuards& guards = {},
-      SolverPolicy policy = SolverPolicy::kAuto);
+      const NumericalGuards& guards = {});
 
   /// Convenience: just the MTTDL in hours from transient state `initial`.
-  [[nodiscard]] static double mttdl_hours(
-      const Chain& chain, StateId initial = 0,
-      SolverPolicy policy = SolverPolicy::kAuto);
+  [[nodiscard]] static double mttdl_hours(const Chain& chain,
+                                          StateId initial = 0);
 };
 
 }  // namespace nsrel::ctmc

@@ -4,37 +4,74 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "obs/probe_names.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
-#include "util/math.hpp"
 
 namespace nsrel::ctmc {
 
 namespace {
 
-/// Core elimination on the embedded-jump form:
-///   m_i = c[i] + sum_j b[i][j] * m_j,   sum_j b[i][j] + ab[i] = 1.
-/// Eliminates every state except `initial` (order: last to first, skipping
-/// `initial`), then m_initial = c[initial] / ab[initial].
-[[nodiscard]] Expected<double> eliminate(std::vector<std::vector<double>> b,
-                           std::vector<double> ab, std::vector<double> c,
-                           std::size_t initial) {
-  const std::size_t n = b.size();
-  std::vector<bool> eliminated(n, false);
+/// One row of jump probabilities: (column, value) pairs sorted by column.
+using Row = std::vector<std::pair<std::uint32_t, double>>;
 
-  for (std::size_t step = n; step-- > 0;) {
-    const std::size_t s = step;
-    if (s == initial) continue;
+/// Position of column `col` in `row`, or where it would be inserted.
+Row::iterator find_column(Row& row, Row::iterator from, std::uint32_t col) {
+  return std::lower_bound(from, row.end(), col,
+                          [](const Row::value_type& entry, std::uint32_t c) {
+                            return entry.first < c;
+                          });
+}
+
+/// The embedded-jump form
+///   m_i = c[i] + sum_j b[i][j] * m_j,   sum_j b[i][j] + ab[i] = 1,
+/// with b stored sparsely: b[i] holds row i's nonzero jump probabilities,
+/// col_rows[j] the rows (ascending) holding an entry in column j.
+struct JumpSystem {
+  std::vector<Row> b;
+  std::vector<std::vector<std::uint32_t>> col_rows;
+  std::vector<double> ab;
+  std::vector<double> c;
+
+  explicit JumpSystem(std::size_t n) : b(n), col_rows(n), ab(n), c(n) {}
+
+  /// Builds col_rows from the assembled rows; walking rows in order
+  /// leaves every column list sorted without a single insert. Each list
+  /// is sized up front, with one spare slot for fill-in.
+  void index_columns() {
+    std::vector<std::uint32_t> count(b.size(), 0);
+    for (const Row& row : b) {
+      for (const auto& entry : row) ++count[entry.first];
+    }
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      col_rows[j].reserve(count[j] + 1);
+    }
+    for (std::uint32_t i = 0; i < b.size(); ++i) {
+      for (const auto& entry : b[i]) col_rows[entry.first].push_back(i);
+    }
+  }
+};
+
+/// Eliminates every state except `initial` (order: last to first), then
+/// m_initial = c[initial] / ab[initial]. Eliminated rows and columns are
+/// detached from both b and col_rows, so later steps never see them.
+[[nodiscard]] Expected<double> eliminate(JumpSystem& system,
+                                         std::size_t initial) {
+  auto& [b, col_rows, ab, c] = system;
+  for (std::size_t step = b.size(); step-- > 0;) {
+    if (step == initial) continue;
+    const auto s = static_cast<std::uint32_t>(step);
+    const Row& pivot = b[s];
     // D_s = 1 - b[s][s], computed as a positive sum via the invariant.
+    // The terms are added in ascending column order, the order the dense
+    // oracle adds them in: floating-point addition is not associative,
+    // so this order is what keeps the two bit-identical.
     double d = ab[s];
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j != s && !eliminated[j]) d += b[s][j];
+    for (const auto& [j, value] : pivot) {
+      if (j != s) d += value;
     }
     if (!(d > 0.0)) {
       return Error{ErrorCode::kSingularGenerator, "ctmc.elimination",
@@ -42,18 +79,37 @@ namespace {
                    "path to absorption)"};
     }
     const double inv_d = 1.0 / d;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (eliminated[i] || i == s) continue;
-      const double weight = b[i][s] * inv_d;
+    for (const std::uint32_t i : col_rows[s]) {
+      if (i == s) continue;
+      Row& row = b[i];
+      const auto entry = find_column(row, row.begin(), s);
+      const double weight = entry->second * inv_d;
+      row.erase(entry);
       if (weight == 0.0) continue;
       c[i] += weight * c[s];
       ab[i] += weight * ab[s];
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j != s && !eliminated[j]) b[i][j] += weight * b[s][j];
+      // Both rows are sorted, so each lookup resumes after the last one.
+      auto cell = row.begin();
+      for (const auto& [j, value] : pivot) {
+        if (j == s) continue;
+        cell = find_column(row, cell, j);
+        if (cell != row.end() && cell->first == j) {
+          cell->second += weight * value;
+        } else {
+          cell = row.insert(cell, {j, weight * value});
+          auto& rows = col_rows[j];
+          rows.insert(std::lower_bound(rows.begin(), rows.end(), i), i);
+        }
+        ++cell;
       }
-      b[i][s] = 0.0;
     }
-    eliminated[s] = true;
+    for (const auto& entry : pivot) {
+      auto& rows = col_rows[entry.first];
+      const auto it = std::lower_bound(rows.begin(), rows.end(), s);
+      if (it != rows.end() && *it == s) rows.erase(it);
+    }
+    b[s].clear();
+    col_rows[s].clear();
   }
   // Only the initial state remains: 1 - b[ii] = ab[i], so
   // m = c / ab (both accumulated without any subtraction).
@@ -69,81 +125,15 @@ namespace {
   return mean;
 }
 
-/// Sparse twin of `eliminate`, bit-identical by construction: the same
-/// elimination order and the same per-cell operations, with the dense
-/// path's additions of exact 0.0 (no-ops on non-negative values — every
-/// b/ab/c entry here is >= +0.0, and +0.0 + 0.0 == +0.0 exactly)
-/// skipped structurally. `b[i]` holds row i's nonzero jump
-/// probabilities keyed by column; `col_rows[j]` indexes the rows with a
-/// stored entry in column j. Eliminated rows/columns are detached from
-/// both structures, which plays the role of the dense `eliminated[]`
-/// mask. On tree-structured chains (the appendix recursion) the
-/// last-to-first order eliminates leaves before parents, so no fill-in
-/// occurs and the whole solve is O(n); general chains fill into the
-/// ordered maps.
-[[nodiscard]] Expected<double> eliminate_sparse(
-    std::vector<std::map<std::uint32_t, double>> b,
-    std::vector<std::set<std::uint32_t>> col_rows, std::vector<double> ab,
-    std::vector<double> c, std::size_t initial) {
-  const std::size_t n = b.size();
-
-  for (std::size_t step = n; step-- > 0;) {
-    const std::uint32_t s = static_cast<std::uint32_t>(step);
-    if (step == initial) continue;
-    double d = ab[s];
-    for (const auto& [j, value] : b[s]) {
-      if (j != s) d += value;
-    }
-    if (!(d > 0.0)) {
-      return Error{ErrorCode::kSingularGenerator, "ctmc.elimination",
-                   "elimination pivot vanished (state has no remaining "
-                   "path to absorption)"};
-    }
-    const double inv_d = 1.0 / d;
-    for (const std::uint32_t i : col_rows[s]) {
-      if (i == s) continue;
-      const auto entry = b[i].find(s);
-      const double weight = entry->second * inv_d;
-      b[i].erase(entry);  // dense: b[i][s] = 0.0 (never read again)
-      if (weight == 0.0) continue;
-      c[i] += weight * c[s];
-      ab[i] += weight * ab[s];
-      for (const auto& [j, value] : b[s]) {
-        if (j == s) continue;
-        const auto [cell, inserted] = b[i].emplace(j, 0.0);
-        cell->second += weight * value;
-        if (inserted) col_rows[j].insert(i);
-      }
-    }
-    // Detach the eliminated row from the column index so later steps
-    // never walk it (the dense path's eliminated[] checks).
-    for (const auto& entry : b[s]) col_rows[entry.first].erase(s);
-    b[s].clear();
-    col_rows[s].clear();
-  }
-  if (!(ab[initial] > 0.0)) {
-    return Error{ErrorCode::kSingularGenerator, "ctmc.elimination",
-                 "initial state's absorption probability vanished"};
-  }
-  const double mean = c[initial] / ab[initial];
-  if (!std::isfinite(mean) || !(mean > 0.0)) {
-    return Error{ErrorCode::kNonFiniteResult, "ctmc.elimination",
-                 "mean absorption time is non-finite or nonpositive"};
-  }
-  return mean;
-}
-
 }  // namespace
 
 double EliminationSolver::mean_absorption_time_hours(const Chain& chain,
-                                                     StateId initial,
-                                                     SolverPolicy policy) {
-  return try_mean_absorption_time_hours(chain, initial, policy)
-      .value_or_throw();
+                                                     StateId initial) {
+  return try_mean_absorption_time_hours(chain, initial).value_or_throw();
 }
 
 [[nodiscard]] Expected<double> EliminationSolver::try_mean_absorption_time_hours(
-    const Chain& chain, StateId initial, SolverPolicy policy) {
+    const Chain& chain, StateId initial) {
   NSREL_EXPECTS(chain.validate().empty());
   NSREL_EXPECTS(initial < chain.state_count());
   NSREL_EXPECTS(chain.state(initial).kind == StateKind::kTransient);
@@ -154,126 +144,51 @@ double EliminationSolver::mean_absorption_time_hours(const Chain& chain,
   for (std::size_t i = 0; i < n; ++i) index[transient[i]] = i;
   NSREL_ASSERT(index[initial] < n);
 
-  const bool sparse_backend = use_sparse(policy, n);
   obs::Span span(obs::probe::kSpanEliminationSolve,
                  obs::probe::kSpanCategoryCtmc);
-  if (span.armed()) {
-    span.arg("backend", sparse_backend ? "sparse" : "dense");
-    span.arg("states", static_cast<std::uint64_t>(n));
-  }
-  if (sparse_backend) {
-    // Exit rates first (transition order, same accumulation as dense),
-    // then the jump-probability rows keyed by transient column index.
-    std::vector<double> exit(n, 0.0);
-    std::vector<double> absorb(n, 0.0);
-    for (const auto& t : chain.transitions()) {
-      const std::size_t from = index[t.from];
-      NSREL_ASSERT(from < n);
-      exit[from] += t.rate;
-      if (index[t.to] >= n) absorb[from] += t.rate;
-    }
-    std::vector<std::map<std::uint32_t, double>> rates(n);
-    std::vector<std::set<std::uint32_t>> col_rows(n);
-    for (const auto& t : chain.transitions()) {
-      const std::size_t from = index[t.from];
-      const std::size_t to = index[t.to];
-      if (to >= n) continue;
-      const auto [cell, inserted] =
-          rates[from].emplace(static_cast<std::uint32_t>(to), 0.0);
-      cell->second += t.rate;
-      if (inserted) {
-        col_rows[to].insert(static_cast<std::uint32_t>(from));
-      }
-    }
-    std::vector<std::map<std::uint32_t, double>> b(n);
-    std::vector<double> ab(n, 0.0);
-    std::vector<double> c(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      NSREL_ASSERT(exit[i] > 0.0);
-      const double inv_exit = 1.0 / exit[i];
-      c[i] = inv_exit;
-      ab[i] = absorb[i] * inv_exit;
-      for (const auto& [j, rate] : rates[i]) b[i].emplace(j, rate * inv_exit);
-    }
-    return eliminate_sparse(std::move(b), std::move(col_rows), std::move(ab),
-                            std::move(c), index[initial]);
-  }
-  if (policy == SolverPolicy::kDense && dense_refuses(n)) {
-    return dense_dimension_error("ctmc.elimination", n);
-  }
+  if (span.armed()) span.arg("states", static_cast<std::uint64_t>(n));
 
-  // Exit rates and split into transient-jump vs absorption flows.
-  std::vector<double> exit(n, 0.0);
-  std::vector<std::vector<double>> rates(n, std::vector<double>(n, 0.0));
-  std::vector<double> absorb(n, 0.0);
+  // Rows are sized up front: the out-degree, plus one slot for the
+  // self-entry that eliminating a child adds to its parent's row.
+  JumpSystem system(n);
+  std::vector<std::uint32_t> out_degree(n, 0);
+  for (const auto& t : chain.transitions()) {
+    if (index[t.to] < n) ++out_degree[index[t.from]];
+  }
+  for (std::size_t i = 0; i < n; ++i) system.b[i].reserve(out_degree[i] + 1);
+  // One pass in transition order: exit rates (held in c until they are
+  // inverted below), absorption rates, and the transient-to-transient
+  // rates accumulated straight into the rows.
+  std::vector<double>& exit = system.c;
   for (const auto& t : chain.transitions()) {
     const std::size_t from = index[t.from];
     NSREL_ASSERT(from < n);
     exit[from] += t.rate;
     const std::size_t to = index[t.to];
-    if (to < n) {
-      rates[from][to] += t.rate;
+    if (to >= n) {
+      system.ab[from] += t.rate;
+      continue;
+    }
+    Row& row = system.b[from];
+    const auto col = static_cast<std::uint32_t>(to);
+    const auto cell = find_column(row, row.begin(), col);
+    if (cell != row.end() && cell->first == col) {
+      cell->second += t.rate;
     } else {
-      absorb[from] += t.rate;
+      row.insert(cell, {col, t.rate});
     }
   }
-
-  std::vector<std::vector<double>> b(n, std::vector<double>(n, 0.0));
-  std::vector<double> ab(n, 0.0);
-  std::vector<double> c(n, 0.0);
+  // Rates to probabilities: divide every row by its exit rate; the mean
+  // hold time c[i] is 1 / exit.
   for (std::size_t i = 0; i < n; ++i) {
     NSREL_ASSERT(exit[i] > 0.0);
     const double inv_exit = 1.0 / exit[i];
-    c[i] = inv_exit;
-    ab[i] = absorb[i] * inv_exit;
-    for (std::size_t j = 0; j < n; ++j) b[i][j] = rates[i][j] * inv_exit;
+    system.c[i] = inv_exit;
+    system.ab[i] *= inv_exit;
+    for (auto& entry : system.b[i]) entry.second *= inv_exit;
   }
-  return eliminate(std::move(b), std::move(ab), std::move(c),
-                   index[initial]);
-}
-
-double EliminationSolver::mean_absorption_time_hours(const linalg::Matrix& r,
-                                                     std::size_t initial) {
-  NSREL_EXPECTS(r.square());
-  const std::size_t n = r.rows();
-  // Absorption rate = row sum of R; the only subtraction in this path,
-  // on same-scale entries, clamped against round-off noise.
-  std::vector<double> absorption(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    KahanSum row_sum;
-    for (std::size_t j = 0; j < n; ++j) row_sum.add(r(i, j));
-    absorption[i] = std::max(0.0, row_sum.value());
-  }
-  return mean_absorption_time_hours(r, absorption, initial);
-}
-
-
-double EliminationSolver::mean_absorption_time_hours(
-    const linalg::Matrix& r, const std::vector<double>& absorption_rates,
-    std::size_t initial) {
-  NSREL_EXPECTS(r.square());
-  const std::size_t n = r.rows();
-  NSREL_EXPECTS(absorption_rates.size() == n);
-  NSREL_EXPECTS(initial < n);
-
-  std::vector<std::vector<double>> b(n, std::vector<double>(n, 0.0));
-  std::vector<double> ab(n, 0.0);
-  std::vector<double> c(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double exit = r(i, i);
-    NSREL_EXPECTS(exit > 0.0);
-    NSREL_EXPECTS(absorption_rates[i] >= 0.0);
-    const double inv_exit = 1.0 / exit;
-    c[i] = inv_exit;
-    ab[i] = absorption_rates[i] * inv_exit;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      NSREL_EXPECTS(r(i, j) <= 0.0);
-      b[i][j] = -r(i, j) * inv_exit;
-    }
-  }
-  return eliminate(std::move(b), std::move(ab), std::move(c), initial)
-      .value_or_throw();
+  system.index_columns();
+  return eliminate(system, index[initial]);
 }
 
 double EliminationSolver::mean_absorption_time_hours(
@@ -291,27 +206,25 @@ double EliminationSolver::mean_absorption_time_hours(
   NSREL_EXPECTS(absorption_rates.size() == n);
   NSREL_EXPECTS(initial < n);
 
-  std::vector<std::map<std::uint32_t, double>> b(n);
-  std::vector<std::set<std::uint32_t>> col_rows(n);
-  std::vector<double> ab(n, 0.0);
-  std::vector<double> c(n, 0.0);
+  JumpSystem system(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double exit = r.at(i, i);
     NSREL_EXPECTS(exit > 0.0);
     NSREL_EXPECTS(absorption_rates[i] >= 0.0);
     const double inv_exit = 1.0 / exit;
-    c[i] = inv_exit;
-    ab[i] = absorption_rates[i] * inv_exit;
+    system.c[i] = inv_exit;
+    system.ab[i] = absorption_rates[i] * inv_exit;
+    Row& row = system.b[i];
+    row.reserve(r.row_ptr()[i + 1] - r.row_ptr()[i]);
     for (std::size_t e = r.row_ptr()[i]; e < r.row_ptr()[i + 1]; ++e) {
       const std::uint32_t j = r.col_index()[e];
       if (j == i) continue;
       NSREL_EXPECTS(r.values()[e] <= 0.0);
-      b[i].emplace(j, -r.values()[e] * inv_exit);
-      col_rows[j].insert(static_cast<std::uint32_t>(i));
+      row.emplace_back(j, -r.values()[e] * inv_exit);
     }
   }
-  return eliminate_sparse(std::move(b), std::move(col_rows), std::move(ab),
-                          std::move(c), initial);
+  system.index_columns();
+  return eliminate(system, initial);
 }
 
 }  // namespace nsrel::ctmc

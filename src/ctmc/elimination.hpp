@@ -14,25 +14,22 @@
 // numbers, so the result is accurate to machine epsilon at ANY condition
 // number.
 //
-// Backends: the dense path stores b as an n x n array; the sparse path
-// stores only the nonzero jump probabilities (ordered row maps plus a
-// column index). Both run the SAME elimination order (last state to
-// first, skipping `initial`) with the SAME per-cell arithmetic — the
-// sparse path merely skips the dense path's additions of exact 0.0,
-// which are no-ops on the non-negative quantities GTH maintains — so
-// their results are BIT-IDENTICAL on every chain (asserted across
-// hundreds of random chains by tests/diffharness). On the appendix
-// recursion's binary-tree chains, last-to-first order is leaf-first, so
-// the sparse elimination has zero fill-in and runs in O(n); arbitrary
-// chains may fill in, and the ordered maps absorb it.
+// Storage: only the nonzero jump probabilities are kept (rows of
+// (column, value) pairs sorted by column, plus a sorted column index).
+// States are eliminated last to first, skipping `initial`. The dense
+// n x n formulation of the same elimination lives in tests/diffharness
+// as the reference oracle; the per-cell arithmetic here differs from it
+// only by skipping additions of exact 0.0, which are no-ops on the
+// non-negative quantities GTH maintains, so the two agree to the bit on
+// every chain (asserted across hundreds of random chains). On the
+// appendix recursion's binary-tree chains, last-to-first order is
+// leaf-first, so the elimination has zero fill-in and runs in O(n).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "ctmc/chain.hpp"
-#include "ctmc/solver_policy.hpp"
-#include "linalg/matrix.hpp"
 #include "linalg/sparse/sparse_matrix.hpp"
 #include "util/error.hpp"
 
@@ -45,46 +42,27 @@ class EliminationSolver {
   /// Preconditions: chain.validate() passes; initial is transient.
   /// Numerical failures (degenerate elimination pivot, non-finite
   /// result) throw ErrorException; use the try_ form for typed errors.
-  [[nodiscard]] static double mean_absorption_time_hours(
-      const Chain& chain, StateId initial,
-      SolverPolicy policy = SolverPolicy::kAuto);
+  [[nodiscard]] static double mean_absorption_time_hours(const Chain& chain,
+                                                         StateId initial);
 
   /// Non-throwing form of the chain overload: a vanishing elimination
   /// pivot (no remaining path to absorption — a numerically singular
-  /// generator) or a non-finite mean comes back as a typed error. A
-  /// forced-dense solve above kDenseMaxDimension is refused with
-  /// kInvalidParameter.
+  /// generator) or a non-finite mean comes back as a typed error.
   [[nodiscard]] static Expected<double> try_mean_absorption_time_hours(
-      const Chain& chain, StateId initial,
-      SolverPolicy policy = SolverPolicy::kAuto);
+      const Chain& chain, StateId initial);
 
-  /// Same, from an absorption matrix R = -Q_B (appendix form): row i's
-  /// absorption rate is its row sum. The subtraction needed to recover
-  /// those rates from R limits accuracy to ~eps * diag / absorption_rate —
-  /// fine for ordinary chains, NOT for ultra-reliable ones. Prefer the
-  /// overload below when the absorption rates are known analytically.
-  /// Precondition: r is square; `initial` indexes its rows.
-  [[nodiscard]] static double mean_absorption_time_hours(
-      const linalg::Matrix& r, std::size_t initial);
-
-  /// Fully cancellation-free variant: R's off-diagonals give jump rates,
+  /// Fully cancellation-free solve from an absorption matrix R = -Q_B
+  /// (appendix form) in CSR: R's off-diagonals give jump rates,
   /// diagonals give exit rates, and the caller supplies the exact
   /// absorption rate of each state (no row-sum subtraction anywhere).
+  /// Never materializes an n x n array — the path that takes the
+  /// appendix recursion to fault tolerance 16.
   /// Preconditions: r square, absorption_rates.size() == r.rows().
-  [[nodiscard]] static double mean_absorption_time_hours(
-      const linalg::Matrix& r, const std::vector<double>& absorption_rates,
-      std::size_t initial);
-
-  /// Sparse twin of the exact-absorption-rates overload: R in CSR form
-  /// with the same entry values a dense assembly would hold. Produces
-  /// bit-identical results to the dense overload (see header comment)
-  /// without ever materializing the n x n array — the path that takes
-  /// the appendix recursion past fault tolerance ~12.
   [[nodiscard]] static double mean_absorption_time_hours(
       const linalg::sparse::CsrMatrix& r,
       const std::vector<double>& absorption_rates, std::size_t initial);
 
-  /// Non-throwing form of the sparse CSR overload.
+  /// Non-throwing form of the CSR overload.
   [[nodiscard]] static Expected<double> try_mean_absorption_time_hours(
       const linalg::sparse::CsrMatrix& r,
       const std::vector<double>& absorption_rates, std::size_t initial);

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ctmc/lu_backend.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/sparse/sparse_lu.hpp"
 #include "linalg/sparse/sparse_matrix.hpp"
@@ -43,20 +44,19 @@ linalg::sparse::CsrMatrix sparse_normalized_transpose(const Chain& chain) {
 
 }  // namespace
 
-std::vector<double> StationarySolver::distribution(const Chain& chain,
-                                                   SolverPolicy policy) {
-  return try_distribution(chain, policy).value_or_throw();
+std::vector<double> StationarySolver::distribution(const Chain& chain) {
+  return try_distribution(chain).value_or_throw();
 }
 
 [[nodiscard]] Expected<std::vector<double>> StationarySolver::try_distribution(
-    const Chain& chain, SolverPolicy policy) {
+    const Chain& chain) {
   NSREL_EXPECTS(chain.absorbing_count() == 0);
   const std::size_t n = chain.state_count();
   NSREL_EXPECTS(n > 0);
 
   // pi Q = 0 with sum(pi) = 1: transpose to Q^T pi^T = 0 and replace the
   // last equation by the normalization row.
-  const bool sparse_backend = use_sparse(policy, n);
+  const bool sparse_backend = n >= detail::kSparseLuMinDimension;
   obs::Span span(obs::probe::kSpanStationarySolve,
                  obs::probe::kSpanCategoryCtmc);
   if (span.armed()) {
@@ -74,9 +74,6 @@ std::vector<double> StationarySolver::distribution(const Chain& chain,
     b[n - 1] = 1.0;
     solution = lu.solve(b);
   } else {
-    if (policy == SolverPolicy::kDense && dense_refuses(n)) {
-      return dense_dimension_error("ctmc.stationary", n);
-    }
     linalg::Matrix a = chain.generator().transpose();
     for (std::size_t j = 0; j < n; ++j) a(n - 1, j) = 1.0;
     linalg::Vector b(n, 0.0);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "ctmc/chain.hpp"
-#include "ctmc/solver_policy.hpp"
 #include "util/error.hpp"
 
 namespace nsrel::ctmc {
@@ -20,17 +19,15 @@ class StationarySolver {
   /// Preconditions: no absorbing states, non-empty chain. A reducible
   /// chain (singular solve) or a non-finite/negative distribution throws
   /// ErrorException; use try_distribution for the typed error.
-  [[nodiscard]] static std::vector<double> distribution(
-      const Chain& chain, SolverPolicy policy = SolverPolicy::kAuto);
+  [[nodiscard]] static std::vector<double> distribution(const Chain& chain);
 
   /// Non-throwing form: singular generator (reducible chain) and
   /// non-finite or negative probabilities come back as typed errors.
-  /// `policy` selects the factorization backend (dense partial-pivot LU
-  /// vs Markowitz sparse LU; agreement bound in DESIGN.md §11); a
-  /// forced-dense solve above kDenseMaxDimension is refused with
-  /// kInvalidParameter.
+  /// The factorization is dense partial-pivot LU below 64 states and
+  /// Markowitz sparse LU at or above (ctmc/lu_backend.hpp; agreement
+  /// bound in DESIGN.md §11).
   [[nodiscard]] static Expected<std::vector<double>> try_distribution(
-      const Chain& chain, SolverPolicy policy = SolverPolicy::kAuto);
+      const Chain& chain);
 
   /// Long-run fraction of time spent in the given set of states.
   [[nodiscard]] static double occupancy(const Chain& chain,

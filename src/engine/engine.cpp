@@ -229,7 +229,7 @@ ResultSet evaluate(const Grid& grid, const EvalOptions& options) {
         }
         Expected<core::AnalysisResult> analyzed =
             analyzer.try_analyze(grid.configurations[configuration],
-                                 grid.method, cache, grid.solver);
+                                 grid.method, cache);
         if (!analyzed.has_value()) return analyzed.error();
         return CellValue{std::move(analyzed.value())};
       } catch (const ErrorException& e) {

@@ -25,7 +25,6 @@
 
 #include "core/analyzer.hpp"
 #include "core/system_config.hpp"
-#include "ctmc/solver_policy.hpp"
 #include "sim/parallel.hpp"
 
 namespace nsrel::engine {
@@ -77,10 +76,6 @@ struct Grid {
   std::vector<GridPoint> points;
   std::vector<core::Configuration> configurations;
   core::Method method = core::Method::kExactChain;
-  /// CTMC solve backend for every cell (CLI --solver). The elimination
-  /// backends are bit-identical, so rendered output is the same under
-  /// any policy; only wall clock changes. Ignored for sim grids.
-  ctmc::SolverPolicy solver = ctmc::SolverPolicy::kAuto;
   /// When set, cells are Monte-Carlo estimates instead of analytic
   /// solves (see SimSpec).
   std::optional<SimSpec> simulation;

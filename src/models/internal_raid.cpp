@@ -70,8 +70,8 @@ ctmc::Chain InternalRaidNodeModel::chain() const {
   return c;
 }
 
-Hours InternalRaidNodeModel::mttdl_exact(ctmc::SolverPolicy policy) const {
-  return Hours(ctmc::AbsorbingSolver::mttdl_hours(chain(), 0, policy));
+Hours InternalRaidNodeModel::mttdl_exact() const {
+  return Hours(ctmc::AbsorbingSolver::mttdl_hours(chain(), 0));
 }
 
 Hours InternalRaidNodeModel::mttdl_closed_form() const {

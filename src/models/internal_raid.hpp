@@ -13,7 +13,6 @@
 #pragma once
 
 #include "ctmc/chain.hpp"
-#include "ctmc/solver_policy.hpp"
 #include "util/units.hpp"
 
 namespace nsrel::models {
@@ -51,11 +50,8 @@ class InternalRaidNodeModel {
   /// natural generalization beyond.
   [[nodiscard]] ctmc::Chain chain() const;
 
-  /// MTTDL by numerically solving the exact chain. Both elimination
-  /// backends are bit-identical, so the policy only affects wall clock
-  /// (and these birth-death chains are tiny anyway).
-  [[nodiscard]] Hours mttdl_exact(
-      ctmc::SolverPolicy policy = ctmc::SolverPolicy::kAuto) const;
+  /// MTTDL by numerically solving the exact chain.
+  [[nodiscard]] Hours mttdl_exact() const;
 
   /// The paper's closed-form approximation:
   ///   mu_N^t / ( N(N-1)...(N-t) (lambda_N+lambda_D)^t

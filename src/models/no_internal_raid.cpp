@@ -10,10 +10,8 @@
 
 #include "ctmc/absorbing.hpp"
 #include "ctmc/elimination.hpp"
-#include "ctmc/solver_policy.hpp"
 #include "linalg/sparse/sparse_matrix.hpp"
 #include "util/assert.hpp"
-#include "util/error.hpp"
 #include "util/math.hpp"
 
 namespace nsrel::models {
@@ -125,60 +123,12 @@ class ChainBuilder {
   std::map<FailureWord, ctmc::StateId> ids_;
 };
 
-/// Appendix block recursion for R^(k). `h` spans the 2^k h_alpha values
-/// for this subtree, in combinat::h_set order.
-linalg::Matrix build_absorption(int k, double n_eff,
-                                const NoInternalRaidParams& p,
-                                std::span<const double> h) {
-  NSREL_ASSERT(h.size() == (std::size_t{1} << k));
-  const double lambda_n = p.node_failure.value();
-  const double d_lambda_d =
-      static_cast<double>(p.drives_per_node) * p.drive_failure.value();
-  const double mu_n = p.node_rebuild.value();
-  const double mu_d = p.drive_rebuild.value();
-
-  if (k == 1) {
-    // Same saturation as ChainBuilder so the two constructions agree.
-    const double h_n = saturated_probability(h[0]);
-    const double h_d = saturated_probability(h[1]);
-    const double exhausted = (n_eff - 1.0) * (lambda_n + d_lambda_d);
-    return linalg::Matrix{
-        {n_eff * (lambda_n + d_lambda_d), -n_eff * lambda_n * (1.0 - h_n),
-         -n_eff * d_lambda_d * (1.0 - h_d)},
-        {-mu_n, mu_n + exhausted, 0.0},
-        {-mu_d, 0.0, mu_d + exhausted}};
-  }
-
-  const std::size_t half = h.size() / 2;
-  // R_x^(k) = R^(k-1)(N-1, h_x . h^(k-1)) + mu_x * U  (appendix A.4).
-  linalg::Matrix r_n = build_absorption(k - 1, n_eff - 1.0, p, h.first(half));
-  r_n(0, 0) += mu_n;
-  linalg::Matrix r_d = build_absorption(k - 1, n_eff - 1.0, p, h.last(half));
-  r_d(0, 0) += mu_d;
-
-  const std::size_t sub = r_n.rows();
-  const std::size_t dim = 2 * sub + 1;
-  linalg::Matrix r(dim, dim);
-  r(0, 0) = n_eff * (lambda_n + d_lambda_d);  // r^(k): no direct absorption
-  r(0, 1) = -n_eff * lambda_n;                // -r_N
-  r(0, 1 + sub) = -n_eff * d_lambda_d;        // -r_d
-  r(1, 0) = -mu_n;                            // -mu_N vector head
-  r(1 + sub, 0) = -mu_d;                      // -mu_d vector head
-  for (std::size_t i = 0; i < sub; ++i) {
-    for (std::size_t j = 0; j < sub; ++j) {
-      r(1 + i, 1 + j) = r_n(i, j);
-      r(1 + sub + i, 1 + sub + j) = r_d(i, j);
-    }
-  }
-  return r;
-}
-
-/// Triplet twin of build_absorption: same recursion, same per-entry
-/// expressions, emitted at offset `base` into `out` instead of into an
-/// n x n array. The parent's mu contribution to a sub-block root's
-/// diagonal is pushed AFTER the sub-block's own entries, so
+/// Appendix block recursion for R^(k), emitted as triplets at offset
+/// `base` into `out`. `h` spans the 2^k h_alpha values for this subtree,
+/// in combinat::h_set order. The parent's mu contribution to a sub-block
+/// root's diagonal is pushed AFTER the sub-block's own entries, so
 /// CsrMatrix::from_triplets (which accumulates duplicates in triplet
-/// order) reproduces the dense build's `value += mu` bit-for-bit.
+/// order) reproduces a dense build's `value += mu` bit-for-bit.
 /// Returns the block's dimension.
 std::size_t append_absorption_triplets(
     int k, double n_eff, const NoInternalRaidParams& p,
@@ -192,6 +142,7 @@ std::size_t append_absorption_triplets(
   const double mu_d = p.drive_rebuild.value();
 
   if (k == 1) {
+    // Same saturation as ChainBuilder so the two constructions agree.
     const double h_n = saturated_probability(h[0]);
     const double h_d = saturated_probability(h[1]);
     const double exhausted = (n_eff - 1.0) * (lambda_n + d_lambda_d);
@@ -225,7 +176,7 @@ std::size_t append_absorption_triplets(
 }
 
 /// Absorption rates per state, in the same recursive state order as
-/// build_absorption. Only the bottom two levels absorb: depth k-1 states
+/// append_absorption_triplets. Only the bottom two levels absorb: depth k-1 states
 /// via the pre-sampled hard-error flow, depth k states via any further
 /// failure.
 void append_absorption_rates(int k, double n_eff,
@@ -293,17 +244,8 @@ ctmc::Chain NoInternalRaidModel::chain() const {
   return c;
 }
 
-linalg::Matrix NoInternalRaidModel::absorption_matrix_recursive() const {
-  NSREL_EXPECTS(params_.repair_policy == RepairPolicy::kSingle);
-  const std::vector<double> h = combinat::h_set(h_params());
-  return build_absorption(params_.fault_tolerance,
-                          static_cast<double>(params_.node_set_size), params_,
-                          h);
-}
-
-Hours NoInternalRaidModel::mttdl_exact(ctmc::SolverPolicy policy) const {
-  return Hours(
-      ctmc::AbsorbingSolver::mttdl_hours(chain(), root_state(), policy));
+Hours NoInternalRaidModel::mttdl_exact() const {
+  return Hours(ctmc::AbsorbingSolver::mttdl_hours(chain(), root_state()));
 }
 
 linalg::sparse::CsrMatrix
@@ -322,27 +264,15 @@ NoInternalRaidModel::absorption_matrix_recursive_sparse() const {
   return linalg::sparse::CsrMatrix::from_triplets(dim, dim, triplets);
 }
 
-Hours NoInternalRaidModel::mttdl_recursive_matrix(
-    ctmc::SolverPolicy policy) const {
+Hours NoInternalRaidModel::mttdl_recursive_matrix() const {
   // The appendix's block structure encodes single (LIFO) repair.
   NSREL_EXPECTS(params_.repair_policy == RepairPolicy::kSingle);
   // MTTDL = <1,0,...,0> R^{-1} <1,...,1>^t (appendix A.2), evaluated via
   // cancellation-free elimination: the naive LU evaluation loses all
   // precision (and can go negative) once MTTDL/mu exceeds ~1/epsilon,
   // which happens at fault tolerance ~6 with baseline rates.
-  const std::size_t dim = (std::size_t{2} << params_.fault_tolerance) - 1;
-  if (ctmc::use_sparse(policy, dim)) {
-    return Hours(ctmc::EliminationSolver::mean_absorption_time_hours(
-        absorption_matrix_recursive_sparse(), absorption_rates_recursive(),
-        0));
-  }
-  if (policy == ctmc::SolverPolicy::kDense && ctmc::dense_refuses(dim)) {
-    throw ErrorException(
-        ctmc::dense_dimension_error("models.no_internal_raid", dim));
-  }
-  const linalg::Matrix r = absorption_matrix_recursive();
   return Hours(ctmc::EliminationSolver::mean_absorption_time_hours(
-      r, absorption_rates_recursive(), 0));
+      absorption_matrix_recursive_sparse(), absorption_rates_recursive(), 0));
 }
 
 std::vector<double> NoInternalRaidModel::absorption_rates_recursive() const {

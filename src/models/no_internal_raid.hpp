@@ -14,16 +14,14 @@
 //
 // Two independent constructions are provided: a labeled `ctmc::Chain`
 // (transition-level, also consumed by the Monte-Carlo simulator) and the
-// appendix's block-recursive absorption matrix R^(k). Tests assert they
-// produce identical matrices.
+// appendix's block-recursive absorption matrix R^(k) in CSR form. Tests
+// assert they produce identical matrices.
 #pragma once
 
 #include <vector>
 
 #include "combinat/critical_sets.hpp"
 #include "ctmc/chain.hpp"
-#include "ctmc/solver_policy.hpp"
-#include "linalg/matrix.hpp"
 #include "linalg/sparse/sparse_matrix.hpp"
 #include "models/internal_raid.hpp"  // RepairPolicy
 #include "util/units.hpp"
@@ -51,9 +49,8 @@ class NoInternalRaidModel {
  public:
   /// Preconditions: k >= 1, k < R <= N, N > k, d >= 1, rates > 0,
   /// fault_tolerance <= 16. The absorption matrix has 2^(k+1)-1 states
-  /// (131071 at the k=16 cap): the dense solvers handle k <= 11 (their
-  /// 4096-state ceiling) and the sparse elimination path carries the
-  /// rest, so the cap is real on the recursive-matrix route. The labeled
+  /// (131071 at the k=16 cap), which the sparse elimination carries in
+  /// O(n), so the cap is real on the recursive-matrix route. The labeled
   /// chain() and mttdl_exact() remain practical to ~k=12 (chain assembly
   /// cost, not solve cost, dominates beyond that).
   explicit NoInternalRaidModel(const NoInternalRaidParams& params);
@@ -70,14 +67,11 @@ class NoInternalRaidModel {
   /// Id of the fully-operational root state within chain().
   [[nodiscard]] static ctmc::StateId root_state() { return 1; }
 
-  /// The appendix's absorption matrix R^(k), built by the block recursion
-  /// (dimension 2^(k+1)-1), ordered root, N-subtree, d-subtree.
-  [[nodiscard]] linalg::Matrix absorption_matrix_recursive() const;
-
-  /// The same matrix in CSR form, assembled by the same recursion with
-  /// the same per-entry arithmetic (tests assert entry-for-entry
-  /// equality with the dense build) but O(n) storage — the form that
-  /// takes the recursion to the k=16 cap.
+  /// The appendix's absorption matrix R^(k) in CSR form, built by the
+  /// block recursion (dimension 2^(k+1)-1), ordered root, N-subtree,
+  /// d-subtree. O(n) storage — the form that takes the recursion to the
+  /// k=16 cap. tests/diffharness keeps the dense block recursion and
+  /// asserts entry-for-entry equality with it.
   [[nodiscard]] linalg::sparse::CsrMatrix absorption_matrix_recursive_sparse()
       const;
 
@@ -86,17 +80,12 @@ class NoInternalRaidModel {
   /// elimination solver so no row-sum subtraction is ever needed.
   [[nodiscard]] std::vector<double> absorption_rates_recursive() const;
 
-  /// MTTDL by numerically solving the exact chain. The policy picks the
-  /// elimination backend; both backends are bit-identical (see
-  /// ctmc/elimination.hpp), so this only affects wall clock.
-  [[nodiscard]] Hours mttdl_exact(
-      ctmc::SolverPolicy policy = ctmc::SolverPolicy::kAuto) const;
+  /// MTTDL by numerically solving the exact chain.
+  [[nodiscard]] Hours mttdl_exact() const;
 
   /// MTTDL = <1,0,...,0> R^{-1} <1,...,1>^t on the block-recursive matrix
-  /// (appendix equation A.2) — an independent numerical path. Under the
-  /// sparse backend the dense matrix is never materialized.
-  [[nodiscard]] Hours mttdl_recursive_matrix(
-      ctmc::SolverPolicy policy = ctmc::SolverPolicy::kAuto) const;
+  /// (appendix equation A.2) — an independent numerical path.
+  [[nodiscard]] Hours mttdl_recursive_matrix() const;
 
   /// The paper's closed-form approximation. For k = 1, 2, 3 this equals
   /// the printed formulas (section 4.3 and Figure 12); for larger k it is

@@ -16,9 +16,9 @@
 
 namespace nsrel::obs::event {
 
-/// Cache-keyed CTMC solve began (args: backend = auto|dense|sparse).
+/// Cache-keyed CTMC solve began (no args).
 inline constexpr const char* kSolveStart = "solve.start";
-/// ...and finished (args: backend, outcome = ok|<stable error code>).
+/// ...and finished (args: outcome = ok|<stable error code>).
 inline constexpr const char* kSolveEnd = "solve.end";
 /// Solve-cache lookup classified (no args; the enclosing scope says
 /// which cell asked).

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/error.hpp"
+#include "util/format.hpp"
 
 namespace nsrel::scenario {
 
@@ -106,6 +108,17 @@ double IniDocument::get_double(const std::string& section_name,
   const double value = std::strtod(it->second.c_str(), &end);
   NSREL_EXPECTS(end != nullptr && *end == '\0' && !it->second.empty());
   return value;
+}
+
+int IniDocument::get_int(const std::string& section_name,
+                         const std::string& key, int fallback) const {
+  const Section& s = section(section_name);
+  const auto it = s.find(key);
+  if (it == s.end()) return fallback;
+  const Expected<int> value =
+      parse_int(it->second, "scenario", "[" + section_name + "] " + key);
+  if (!value.has_value()) throw ContractViolation(value.error().message());
+  return value.value();
 }
 
 bool IniDocument::has(const std::string& section_name,

@@ -37,6 +37,11 @@ class IniDocument {
   [[nodiscard]] double get_double(const std::string& section_name,
                                   const std::string& key,
                                   double fallback) const;
+  /// Range-checked: throws ContractViolation carrying parse_int's typed
+  /// invalid_parameter error for a non-number, a fraction, or a value
+  /// outside the int range.
+  [[nodiscard]] int get_int(const std::string& section_name,
+                            const std::string& key, int fallback) const;
   [[nodiscard]] bool has(const std::string& section_name,
                          const std::string& key) const;
 

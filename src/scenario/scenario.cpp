@@ -94,7 +94,7 @@ Scenario parse_scenario(const std::string& text) {
     }
     sweep.from = doc.get_double(section, "from", 0.0);
     sweep.to = doc.get_double(section, "to", 0.0);
-    sweep.steps = static_cast<int>(doc.get_double(section, "steps", 5.0));
+    sweep.steps = doc.get_int(section, "steps", 5);
     const std::string scale = doc.get(section, "scale", "log");
     if (scale == "log") {
       sweep.log_scale = true;
@@ -116,7 +116,7 @@ Scenario parse_scenario(const std::string& text) {
   scenario.target =
       core::ReliabilityTarget{doc.get_double("output", "target", 2e-3)};
   scenario.method = core::parse_method(doc.get("output", "method", "exact"));
-  scenario.jobs = static_cast<int>(doc.get_double("output", "jobs", 1.0));
+  scenario.jobs = doc.get_int("output", "jobs", 1);
   if (scenario.jobs < 0) {
     throw ContractViolation("[output] jobs must be >= 0 (0 = all cores)");
   }

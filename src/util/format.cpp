@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "util/assert.hpp"
@@ -42,6 +44,27 @@ std::string human_bytes(double bytes) {
 std::string human_hours(double hours) {
   if (hours < 1e4) return fixed(hours, 1) + " h";
   return sci(hours, 3) + " h (" + sci(hours / kHoursPerYear, 3) + " yr)";
+}
+
+[[nodiscard]] Expected<int> parse_int(const std::string& text,
+                                      const char* layer,
+                                      const std::string& what) {
+  const auto invalid = [&](const char* problem) {
+    return Error{ErrorCode::kInvalidParameter, layer,
+                 what + ": '" + text + "' " + problem};
+  };
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end == nullptr || *end != '\0' || std::isnan(value)) {
+    return invalid("is not a number");
+  }
+  // Range first: the bounds are exact doubles, and infinities fail here.
+  if (value < static_cast<double>(std::numeric_limits<int>::min()) ||
+      value > static_cast<double>(std::numeric_limits<int>::max())) {
+    return invalid("is outside the int range");
+  }
+  if (value != std::trunc(value)) return invalid("is not an integer");
+  return static_cast<int>(value);
 }
 
 }  // namespace nsrel

@@ -1,9 +1,12 @@
 // Number formatting for reports: engineering/scientific notation helpers
 // matching the magnitudes the paper plots (events per PB-year span ~1e-12
-// to ~1e+2 across figures).
+// to ~1e+2 across figures). Plus the one integer parser the CLI and the
+// scenario reader share.
 #pragma once
 
 #include <string>
+
+#include "util/error.hpp"
 
 namespace nsrel {
 
@@ -19,5 +22,13 @@ namespace nsrel {
 
 /// Hours rendered with an adaptive unit: "39.5 h", "4.2e+07 h (4.8e+03 yr)".
 [[nodiscard]] std::string human_hours(double hours);
+
+/// Parses `text` as an int. Accepts any strtod spelling of an integral
+/// value ("64", "1e3"); anything else — not a number, a fraction, or a
+/// value outside the int range — is a kInvalidParameter error from
+/// `layer` whose detail starts with `what` (the flag or key name).
+[[nodiscard]] Expected<int> parse_int(const std::string& text,
+                                      const char* layer,
+                                      const std::string& what);
 
 }  // namespace nsrel

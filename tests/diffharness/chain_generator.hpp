@@ -1,7 +1,7 @@
 // Seeded random-chain generators for the differential-testing harness
 // (tests/test_diffharness.cpp): every family the CTMC solvers accept,
 // plus deterministic degenerate systems whose solves MUST fail with the
-// same typed error on the dense and sparse backends.
+// same typed error in the library and in the dense oracle.
 //
 // Everything here is a pure function of its Xoshiro256 stream (or fully
 // deterministic), so a failing seed reproduces exactly.
@@ -53,7 +53,7 @@ namespace nsrel::diffharness {
 /// A degenerate absorbing system in matching dense and CSR form: the
 /// last `trapped` states (>= 2) form a directed cycle with positive exit
 /// rates but NO path to absorption, so GTH elimination reaches an
-/// exactly-zero pivot on BOTH backends. With healthy == 0 the trap
+/// exactly-zero pivot in BOTH the library and the oracle. With healthy == 0 the trap
 /// includes the initial state and the failure surfaces as a vanished
 /// initial absorption probability instead. All rates are small integers,
 /// so every elimination step is exact and the zero is bit-exact.
@@ -68,7 +68,7 @@ struct DegenerateSystem {
 /// Reducible "irreducible-looking" chain for the stationary solver: two
 /// disconnected 2-cycles with rate-1 transitions. The normalized
 /// transpose is exactly rank-deficient (integer arithmetic), so both LU
-/// backends must report a singular generator.
+/// factorizations must report it singular.
 [[nodiscard]] ctmc::Chain disconnected_cycles();
 
 }  // namespace nsrel::diffharness

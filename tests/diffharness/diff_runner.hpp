@@ -1,7 +1,8 @@
 // Comparison machinery for the differential-testing harness: bitwise
-// equality for the GTH elimination backends (which are bit-identical by
-// construction) and ULP/relative distance for the LU backends (which
-// pivot differently and agree only to the bound stated in DESIGN.md §11).
+// equality for the GTH elimination against its dense oracle (bit-identical
+// by construction) and ULP/relative distance for the LU factorizations
+// (which pivot differently and agree only to the bound stated in
+// DESIGN.md §11).
 #pragma once
 
 #include <cmath>
@@ -21,8 +22,8 @@ namespace nsrel::diffharness {
 }
 
 /// True when the two doubles have the same bit pattern (so +0.0 and
-/// -0.0 differ, and NaN payloads matter — exactly what "bit-identical
-/// backends" promises).
+/// -0.0 differ, and NaN payloads matter — exactly what "bit-identical"
+/// promises).
 [[nodiscard]] inline bool bit_equal(double a, double b) {
   return bits(a) == bits(b);
 }
@@ -53,7 +54,7 @@ namespace nsrel::diffharness {
 }
 
 /// Accumulates worst-case distances across a sweep so a failing run
-/// reports how close (or far) the backends actually were.
+/// reports how close (or far) the two sides actually were.
 struct DiffStats {
   std::size_t chains = 0;
   double max_rel = 0.0;

@@ -109,6 +109,79 @@ TEST(Dispatch, HelpAndUnknown) {
   EXPECT_NE(unknown.err.find("unknown command"), std::string::npos);
 }
 
+/// Drives the argv entry point, Args parsing included, the way main() does.
+CommandResult run_argv(std::initializer_list<const char*> tokens) {
+  std::vector<const char*> argv{"nsrel"};
+  argv.insert(argv.end(), tokens.begin(), tokens.end());
+  std::ostringstream out;
+  std::ostringstream err;
+  const int code =
+      dispatch(static_cast<int>(argv.size()), argv.data(), out, err);
+  return {code, out.str(), err.str()};
+}
+
+TEST(Dispatch, HelpFlagPrintsUsageAndExitsZero) {
+  for (const CommandResult& result :
+       {run_argv({"--help"}), run_argv({"analyze", "--help"}),
+        run_argv({"sweep", "--jobs", "2", "--help"}), run_argv({"help"})}) {
+    EXPECT_EQ(result.exit_code, kExitOk) << result.err;
+    EXPECT_NE(result.out.find("usage:"), std::string::npos);
+    EXPECT_EQ(result.out.find("--solver"), std::string::npos);
+  }
+}
+
+TEST(Dispatch, FlagWithoutValueIsUsageErrorNamingTheFlag) {
+  for (const char* flag : {"--jobs", "--format"}) {
+    const auto result = run_argv({"analyze", flag});
+    EXPECT_EQ(result.exit_code, kExitUsage) << flag;
+    EXPECT_NE(result.err.find(std::string("flag ") + flag +
+                              " requires a value"),
+              std::string::npos)
+        << result.err;
+    EXPECT_EQ(result.err.find("precondition"), std::string::npos);
+  }
+  // A flag directly followed by another flag is missing its value too.
+  const auto chained = run_argv({"analyze", "--format", "--jobs", "2"});
+  EXPECT_EQ(chained.exit_code, kExitUsage);
+  EXPECT_NE(chained.err.find("flag --format requires a value"),
+            std::string::npos)
+      << chained.err;
+  // Negative numbers still parse as values.
+  EXPECT_DOUBLE_EQ(make_args({"sweep", "--from", "-5"}).get_double("from", 0),
+                   -5.0);
+}
+
+TEST(Dispatch, StrayPositionalIsUsageErrorNamingTheToken) {
+  const auto result = run_argv({"analyze", "oops"});
+  EXPECT_EQ(result.exit_code, kExitUsage);
+  EXPECT_NE(result.err.find("unexpected argument 'oops' after analyze"),
+            std::string::npos)
+      << result.err;
+}
+
+TEST(Dispatch, RemovedSolverFlagIsAnUnknownFlag) {
+  const auto result = run_argv({"analyze", "--solver", "dense"});
+  EXPECT_EQ(result.exit_code, kExitUsage);
+  EXPECT_NE(result.err.find("unknown flag(s): --solver"), std::string::npos)
+      << result.err;
+}
+
+TEST(Dispatch, IntegerFlagsAreRangeChecked) {
+  for (const char* value : {"abc", "3.5", "2147483648", "1e20",
+                            "99999999999999999999"}) {
+    const auto result = run_argv({"analyze", "--jobs", value});
+    EXPECT_EQ(result.exit_code, kExitUsage) << value;
+    EXPECT_NE(result.err.find("cli.args: invalid_parameter: --jobs: '" +
+                              std::string(value) + "'"),
+              std::string::npos)
+        << result.err;
+  }
+  const auto negative = run_argv({"analyze", "--jobs", "-1"});
+  EXPECT_EQ(negative.exit_code, kExitUsage);
+  EXPECT_NE(negative.err.find("--jobs must be >= 0"), std::string::npos)
+      << negative.err;
+}
+
 TEST(Dispatch, AnalyzeBaselineRaid5Ft2MeetsTarget) {
   const auto result = run({"analyze"});
   EXPECT_EQ(result.exit_code, 0) << result.err;

@@ -12,6 +12,8 @@
 #include "ctmc/elimination.hpp"
 #include "ctmc/stationary.hpp"
 #include "ctmc/transient.hpp"
+#include "linalg/matrix.hpp"
+#include "linalg/sparse/sparse_matrix.hpp"
 #include "util/assert.hpp"
 #include "util/error.hpp"
 
@@ -267,8 +269,10 @@ TEST(Elimination, MatchesLuOnSimpleChains) {
 TEST(Elimination, MatrixOverloadMatchesChainOverload) {
   const Chain c = repairable_pair(0.05, 3.0);
   const double via_chain = EliminationSolver::mean_absorption_time_hours(c, 0);
+  // R = -Q_B in CSR, with the absorption rates supplied exactly.
   const double via_matrix = EliminationSolver::mean_absorption_time_hours(
-      c.absorption_matrix(), 0);
+      linalg::sparse::CsrMatrix::from_dense(c.absorption_matrix()),
+      c.rates_into(2), 0);
   EXPECT_NEAR(via_matrix, via_chain, 1e-12 * via_chain);
 }
 
@@ -300,9 +304,10 @@ TEST(Elimination, ValidatesInputs) {
   const Chain c = single_exponential(1.0);
   EXPECT_THROW((void)EliminationSolver::mean_absorption_time_hours(c, 1),
                ContractViolation);
-  linalg::Matrix bad_diag{{-1.0}};
+  const auto bad_diag =
+      linalg::sparse::CsrMatrix::from_dense(linalg::Matrix{{-1.0}});
   EXPECT_THROW(
-      (void)EliminationSolver::mean_absorption_time_hours(bad_diag, 0),
+      (void)EliminationSolver::mean_absorption_time_hours(bad_diag, {0.0}, 0),
       ContractViolation);
 }
 

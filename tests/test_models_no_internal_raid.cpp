@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "ctmc/absorbing.hpp"
+#include "linalg/matrix.hpp"
 #include "models/no_internal_raid.hpp"
 #include "util/assert.hpp"
 
@@ -70,7 +71,8 @@ TEST(NoInternalRaid, ChainAndRecursiveMatrixAgreeEntrywise) {
   for (int k = 1; k <= 4; ++k) {
     const NoInternalRaidModel model(baseline(k));
     const auto from_chain = model.chain().absorption_matrix();
-    const auto from_recursion = model.absorption_matrix_recursive();
+    const auto from_recursion =
+        model.absorption_matrix_recursive_sparse().to_dense();
     ASSERT_EQ(from_chain.rows(), from_recursion.rows()) << "k=" << k;
     const double scale = from_chain.max_abs();
     for (std::size_t i = 0; i < from_chain.rows(); ++i) {
@@ -224,14 +226,9 @@ TEST(NoInternalRaid, FaultToleranceCapBoundaryIsExactlySixteen) {
   const auto sparse = model.absorption_matrix_recursive_sparse();
   EXPECT_EQ(sparse.rows(), (std::size_t{2} << 16) - 1);
   EXPECT_EQ(model.absorption_rates_recursive().size(), sparse.rows());
-  const double mttdl =
-      model.mttdl_recursive_matrix(ctmc::SolverPolicy::kSparse).value();
+  const double mttdl = model.mttdl_recursive_matrix().value();
   EXPECT_TRUE(std::isfinite(mttdl));
   EXPECT_GT(mttdl, 0.0);
-  // 131071 states is far past the dense 4096-state ceiling, so the auto
-  // policy must route to the same sparse elimination, bit for bit.
-  EXPECT_EQ(model.mttdl_recursive_matrix(ctmc::SolverPolicy::kAuto).value(),
-            mttdl);
 
   p.fault_tolerance = 17;
   EXPECT_THROW(NoInternalRaidModel{p}, ContractViolation);
@@ -284,7 +281,8 @@ TEST(NoInternalRaid, MatrixPathsRejectConcurrentPolicy) {
   NoInternalRaidParams p = baseline(2);
   p.repair_policy = RepairPolicy::kConcurrent;
   const NoInternalRaidModel model(p);
-  EXPECT_THROW((void)model.absorption_matrix_recursive(), ContractViolation);
+  EXPECT_THROW((void)model.absorption_matrix_recursive_sparse(),
+               ContractViolation);
   EXPECT_THROW((void)model.mttdl_recursive_matrix(), ContractViolation);
 }
 

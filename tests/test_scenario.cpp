@@ -99,6 +99,33 @@ TEST(Scenario, OutputFormatAndJobsParse) {
                ContractViolation);
 }
 
+TEST(Scenario, IntegerKeysAreRangeChecked) {
+  // Each value used to reach a bare double-to-int cast; 99999999999999
+  // came out as "must be >= 0".
+  for (const char* value :
+       {"abc", "3.5", "2147483648", "1e20", "99999999999999"}) {
+    try {
+      (void)parse_scenario(std::string("[output]\njobs = ") + value + "\n");
+      ADD_FAILURE() << "jobs = " << value << " was accepted";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("invalid_parameter: [output] jobs: '" +
+                          std::string(value) + "'"),
+                std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_THROW((void)parse_scenario("[sweep.1]\nparam = n\nfrom = 8\n"
+                                    "to = 64\nsteps = 1e20\n"),
+               ContractViolation);
+  try {
+    (void)parse_scenario("[output]\njobs = -1\n");
+    ADD_FAILURE() << "jobs = -1 was accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("must be >= 0"), std::string::npos);
+  }
+}
+
 TEST(Scenario, SystemOverridesApply) {
   const Scenario scenario = parse_scenario(R"(
 [system]

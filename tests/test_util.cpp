@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/error.hpp"
 #include "util/format.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
@@ -297,6 +299,37 @@ TEST(Format, HumanBytes) {
 TEST(Format, HumanHours) {
   EXPECT_EQ(human_hours(39.5), "39.5 h");
   EXPECT_NE(human_hours(1e7).find("yr"), std::string::npos);
+}
+
+TEST(Format, ParseIntAcceptsIntegralSpellingsAcrossTheIntRange) {
+  EXPECT_EQ(parse_int("64", "test", "n").value(), 64);
+  EXPECT_EQ(parse_int("-1", "test", "n").value(), -1);
+  EXPECT_EQ(parse_int("1e3", "test", "n").value(), 1000);
+  EXPECT_EQ(parse_int("2147483647", "test", "n").value(), 2147483647);
+  EXPECT_EQ(parse_int("-2147483648", "test", "n").value(),
+            std::numeric_limits<int>::min());
+}
+
+TEST(Format, ParseIntRejectsWithTypedInvalidParameter) {
+  const struct {
+    const char* text;
+    const char* problem;
+  } cases[] = {{"abc", "is not a number"},
+               {"", "is not a number"},
+               {"nan", "is not a number"},
+               {"3.5", "is not an integer"},
+               {"2147483648", "is outside the int range"},
+               {"-2147483649", "is outside the int range"},
+               {"1e20", "is outside the int range"},
+               {"inf", "is outside the int range"}};
+  for (const auto& c : cases) {
+    const Expected<int> parsed = parse_int(c.text, "cli.args", "--jobs");
+    ASSERT_FALSE(parsed.has_value()) << c.text;
+    EXPECT_EQ(parsed.error().code, ErrorCode::kInvalidParameter) << c.text;
+    EXPECT_EQ(parsed.error().layer, "cli.args");
+    EXPECT_EQ(parsed.error().detail,
+              std::string("--jobs: '") + c.text + "' " + c.problem);
+  }
 }
 
 }  // namespace
