@@ -1,104 +1,110 @@
-// Microbenchmarks (google-benchmark) for the observability hot paths:
-// the disabled-probe cost (the one-relaxed-load contract — the journal
-// gate must be statistically indistinguishable from the registry gate
-// it mirrors), armed ring appends, the drain/commit path, and the
+// Microbenchmarks (google-benchmark) for the one observability recorder:
+// the disabled-probe cost every instrumented line in src/ pays on a
+// plain run (one relaxed load of the channel gate), an armed journal
+// event and an armed trace span appended to the thread's lane, and the
 // MetricsSnapshot delta/merge algebra `nsrel report` is built on.
-// Counters are deterministic (events recorded, rows merged), so
-// tools/bench_diff.py can hard-fail a run that did different work than
-// the committed baseline even when wall-clock shifts.
+// Counters are deterministic (records kept per probe fired, rows
+// merged), so tools/bench_diff.py can hard-fail a run that did different
+// work than the committed baseline even when wall-clock shifts.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <sstream>
+#include <string>
 
 #include "perf_json.hpp"
 
-#include "obs/event_names.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe_names.hpp"
+#include "obs/recorder.hpp"
 #include "obs/snapshot.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
 using namespace nsrel;
 
-// The registry gate: one relaxed load when off. This is the reference
-// cost every other disabled probe is held to.
-void BM_RegistryDisabled(benchmark::State& state) {
-  obs::Registry::instance().set_enabled(false);
-  std::uint64_t observed = 0;
-  for (auto _ : state) {
-    if (obs::Registry::enabled()) ++observed;
-    benchmark::DoNotOptimize(observed);
-  }
-  state.counters["adds_observed"] = static_cast<double>(observed);
-}
-BENCHMARK(BM_RegistryDisabled);
+// The journal is complete, so armed loops would grow the lane without
+// bound; outside the timed region they count and drop what each batch
+// of kBatch probes kept.
+constexpr std::uint64_t kBatch = 4096;
 
-// The journal gate while disarmed — the cost every instrumented line in
-// src/ pays on a plain run. Must stay indistinguishable from
-// BM_RegistryDisabled: both are one relaxed load and a branch.
-void BM_JournalDisabled(benchmark::State& state) {
-  obs::Journal::instance().disable();
-  obs::Journal::instance().clear();
-  std::uint64_t recorded = 0;
-  for (auto _ : state) {
-    if (obs::Journal::enabled()) {
-      obs::Journal::instance().record(
-          obs::seq_event(obs::event::kCacheHit));
-      ++recorded;
-    }
-    benchmark::DoNotOptimize(recorded);
+/// Journal events plus trace spans currently held by the recorder.
+std::uint64_t kept_records() {
+  std::ostringstream out;
+  obs::TraceRecorder::instance().write(out);
+  const std::string trace = out.str();
+  std::uint64_t records = obs::Journal::instance().events().size();
+  for (std::size_t at = trace.find("\"ph\""); at != std::string::npos;
+       at = trace.find("\"ph\"", at + 1)) {
+    ++records;
   }
-  state.counters["events_recorded"] = static_cast<double>(recorded);
+  return records;
 }
-BENCHMARK(BM_JournalDisabled);
 
-// Armed append into the thread-local ring: no locks, no allocation —
-// the ring overwrites its oldest slot once full, so the loop cost is
-// flat regardless of iteration count.
-void BM_JournalArmed(benchmark::State& state) {
+/// Counts and drops the recorder's records (timing paused).
+void settle_batch(benchmark::State& state, std::uint64_t& kept) {
+  state.PauseTiming();
+  kept += kept_records();
+  obs::Recorder::instance().clear(obs::kTrace | obs::kJournal);
+  state.ResumeTiming();
+}
+
+// A paired probe with every channel off: the cost of each emit() and
+// Span in src/ on an unobserved run.
+void BM_GateDisabled(benchmark::State& state) {
+  obs::Recorder::instance().disable(obs::kMetrics | obs::kTrace |
+                                    obs::kJournal);
+  obs::Recorder::instance().clear(obs::kMetrics | obs::kTrace |
+                                  obs::kJournal);
+  for (auto _ : state) {
+    obs::emit(obs::event::kCacheHit);
+    const obs::Span span(obs::probe::kSpanSolve, obs::probe::kSpanCategoryCore);
+  }
+  state.counters["records_kept"] = static_cast<double>(kept_records());
+}
+BENCHMARK(BM_GateDisabled);
+
+// Armed event append into the thread's lane (journal on, metrics off).
+void BM_EventArmed(benchmark::State& state) {
   obs::Journal::instance().begin();
-  std::uint64_t recorded = 0;
+  std::uint64_t kept = 0;
+  std::uint64_t fired = 0;
   for (auto _ : state) {
-    if (obs::Journal::enabled()) {
-      obs::Journal::instance().record(
-          obs::seq_event(obs::event::kCacheHit).arg("n", recorded));
-      ++recorded;
-    }
+    obs::emit(obs::event::kSimChunk, {{"stream", fired}});
+    if (++fired % kBatch == 0) settle_batch(state, kept);
   }
+  obs::Journal::instance().disable();
+  kept += kept_records();
   obs::Journal::instance().clear();
   // Per-iteration so the value is exact regardless of how many
-  // iterations google-benchmark chose: 1 event per loop pass.
+  // iterations google-benchmark chose: 1 event kept per probe fired.
   state.counters["events_per_iter"] =
-      static_cast<double>(recorded) /
-      static_cast<double>(state.iterations());
+      static_cast<double>(kept) / static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_JournalArmed);
+BENCHMARK(BM_EventArmed);
 
-// One full ring recorded and drained per iteration: the barrier-time
-// cost the repair engine pays per batch.
-void BM_JournalDrain(benchmark::State& state) {
-  std::uint64_t drained = 0;
+// Armed span: two clock reads and one append (trace on).
+void BM_SpanArmed(benchmark::State& state) {
+  obs::TraceRecorder::instance().begin();
+  std::uint64_t kept = 0;
+  std::uint64_t fired = 0;
   for (auto _ : state) {
-    state.PauseTiming();
-    obs::Journal::instance().begin();
-    for (std::size_t i = 0; i < obs::Journal::kRingCapacity; ++i) {
-      obs::Journal::instance().record(
-          obs::seq_event(obs::event::kCacheHit).arg("n", drained));
+    {
+      obs::Span span(obs::probe::kSpanChunk, obs::probe::kSpanCategorySim);
+      span.arg("stream", fired);
     }
-    state.ResumeTiming();
-    obs::Journal::instance().drain();
-    drained += obs::Journal::kRingCapacity;
+    if (++fired % kBatch == 0) settle_batch(state, kept);
   }
-  obs::Journal::instance().clear();
-  // Exactly one full ring per iteration.
-  state.counters["events_per_drain"] =
-      static_cast<double>(drained) /
-      static_cast<double>(state.iterations());
+  obs::TraceRecorder::instance().disable();
+  kept += kept_records();
+  obs::TraceRecorder::instance().clear();
+  state.counters["spans_per_iter"] =
+      static_cast<double>(kept) / static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_JournalDrain)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SpanArmed);
 
 // The exact snapshot algebra behind --metrics-out and `nsrel report`:
 // delta(before, after) then merge(before, delta) over a registry-sized

@@ -8,10 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "obs/event_names.hpp"
-#include "obs/journal.hpp"
-#include "obs/metrics.hpp"
 #include "obs/probe_names.hpp"
+#include "obs/recorder.hpp"
 #include "util/assert.hpp"
 #include "util/error.hpp"
 
@@ -23,16 +21,7 @@ namespace {
 /// the metrics registry is on, and journals it: inside a repair
 /// barrier scope the event sorts right after the barrier that served
 /// the read.
-void count_degraded_read() {
-  if (obs::Registry::enabled()) {
-    auto& registry = obs::Registry::instance();
-    registry.add(registry.counter(obs::probe::kBrickDegradedReads));
-  }
-  if (obs::Journal::enabled()) {
-    obs::Journal::instance().record(
-        obs::seq_event(obs::event::kBrickDegradedRead));
-  }
-}
+void count_degraded_read() { obs::emit(obs::event::kBrickDegradedRead); }
 
 /// Shared body of the try_* twins: runs `fn`, converting the store's
 /// exception vocabulary into typed Errors (DataLossError -> kDataLoss,

@@ -80,10 +80,10 @@ double Args::get_double(const std::string& key, double fallback) const {
   consumed_.insert(key);
   const auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(it->second.c_str(), &end);
-  NSREL_EXPECTS(end != nullptr && *end == '\0' && !it->second.empty());
-  return value;
+  const Expected<double> value =
+      parse_double(it->second, "cli.args", "--" + key);
+  if (!value.has_value()) throw ContractViolation(value.error().message());
+  return value.value();
 }
 
 int Args::get_int(const std::string& key, int fallback) const {
@@ -93,6 +93,12 @@ int Args::get_int(const std::string& key, int fallback) const {
   const Expected<int> value = parse_int(it->second, "cli.args", "--" + key);
   if (!value.has_value()) throw ContractViolation(value.error().message());
   return value.value();
+}
+
+void invalid_flag(const std::string& key, const std::string& problem) {
+  throw ContractViolation(
+      Error{ErrorCode::kInvalidParameter, "cli.args", "--" + key + " " + problem}
+          .message());
 }
 
 std::vector<std::string> Args::unused() const {

@@ -33,9 +33,9 @@ class Args {
   [[nodiscard]] bool has(const std::string& key) const;
 
   /// Typed accessors; throw ContractViolation when present but malformed.
-  /// get_int is range-checked: the message carries parse_int's typed
-  /// invalid_parameter error (not a number, not an integer, outside the
-  /// int range).
+  /// The message carries parse_double's / parse_int's typed
+  /// invalid_parameter error (not a number; for get_int also not an
+  /// integer, or outside the int range).
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
@@ -58,5 +58,11 @@ class Args {
   std::map<std::string, std::string> flags_;
   mutable std::set<std::string> consumed_;
 };
+
+/// Rejects a well-formed flag value outside its domain: throws the usage
+/// error (exit 4) carrying a typed cli.args invalid_parameter error,
+/// "--<key> <problem>".
+[[noreturn]] void invalid_flag(const std::string& key,
+                               const std::string& problem);
 
 }  // namespace nsrel::cli

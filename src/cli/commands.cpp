@@ -18,7 +18,6 @@
 #include "engine/render.hpp"
 #include "models/availability.hpp"
 #include "obs/build_info.hpp"
-#include "obs/journal.hpp"
 #include "obs/progress.hpp"
 #include "obs/session.hpp"
 #include "obs/snapshot.hpp"
@@ -335,6 +334,13 @@ int run_rebuild(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
+/// The --from/--to/--steps domain shared by both sweep commands.
+void check_sweep_range(double from, double to, int steps) {
+  if (steps < 2) invalid_flag("steps", "must be >= 2");
+  if (!(from > 0.0)) invalid_flag("from", "must be > 0");
+  if (!(to > from)) invalid_flag("to", "must be > --from");
+}
+
 int run_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   const std::string param = args.get_string("param", "drive-mttf");
   const double from = args.get_double("from", 100e3);
@@ -346,8 +352,7 @@ int run_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   EvalFlags flags = eval_flags_from_args(args);
   const bool progress = args.has("progress");
   if (const int rc = check_unused(args, err); rc != 0) return rc;
-  NSREL_EXPECTS(steps >= 2);
-  NSREL_EXPECTS(from > 0.0 && to > from);
+  check_sweep_range(from, to, steps);
 
   // Probe the name before evaluating so a typo is a usage error (exit
   // 2), not a ContractViolation from deep inside grid construction.
@@ -438,8 +443,7 @@ int run_simulate_sweep(const Args& args, const core::SystemConfig& base,
   EvalFlags flags = eval_flags_from_args(args);
   const bool progress = args.has("progress");
   if (const int rc = check_unused(args, err); rc != 0) return rc;
-  NSREL_EXPECTS(steps >= 2);
-  NSREL_EXPECTS(from > 0.0 && to > from);
+  check_sweep_range(from, to, steps);
 
   core::SystemConfig probe = base;
   if (!core::set_parameter(probe, param, from)) {
@@ -488,8 +492,8 @@ int run_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   spec.options.ci_target = args.get_double("ci-target", 0.0);
   spec.options.chunk_trials = args.get_int("chunk", 256);
   spec.options.max_trials = args.get_int("max-trials", spec.options.max_trials);
-  NSREL_EXPECTS(spec.trials >= 2);
-  NSREL_EXPECTS(spec.options.jobs >= 0);
+  if (spec.trials < 2) invalid_flag("trials", "must be >= 2");
+  if (spec.options.jobs < 0) invalid_flag("jobs", "must be >= 0 (0 = all cores)");
 
   // With --param the command becomes a Monte-Carlo sweep; --jobs then
   // parallelizes across cells instead of within the one estimate.
@@ -727,11 +731,6 @@ int run_scenario_command(const Args& args, std::ostream& out,
   text << in.rdbuf();
   scenario::Scenario scenario = scenario::parse_scenario(text.str());
   if (jobs_given) scenario.jobs = jobs;  // command line beats [output] jobs
-  // With --trace/--events the dispatch-level Session owns recording and
-  // writes the CLI path; drop the file's [output] key so the scenario
-  // runner neither restarts the recorder nor writes a second file.
-  if (args.has("trace")) scenario.trace.clear();
-  if (args.has("events")) scenario.events.clear();
   const scenario::RunOutcome outcome = scenario::run_scenario(scenario, out);
   if (outcome.error_count != 0) {
     err << "warning: " << outcome.error_count << " of "
@@ -785,20 +784,6 @@ core::Configuration configuration_from_args(const Args& args) {
 }
 
 namespace {
-
-/// Writes the drained journal as nsrel-events-v1 NDJSON (--events).
-bool write_events_file(const std::string& path, std::ostream& err) {
-  std::ofstream file(path);
-  if (file) {
-    report::write_events_ndjson(obs::Journal::instance().events(),
-                                obs::Journal::instance().dropped(), file);
-  }
-  if (!file) {
-    err << "cannot write events file '" << path << "'\n";
-    return false;
-  }
-  return true;
-}
 
 /// Writes the settled registry as nsrel-metrics-v1 JSON (--metrics-out).
 bool write_metrics_file(const std::string& path, std::ostream& err) {
@@ -883,11 +868,11 @@ int dispatch(const Args& args, std::ostream& out, std::ostream& err) {
   // The trace file and metrics block are written even when the command
   // failed — a trace of a failing run is the one you want to look at.
   if (!session.finish(err) && rc == kExitOk) rc = kExitUsage;
-  // Document files go out after finish(): the journal is drained and
-  // the registry settled, and both stay valid until the next begin().
-  if (!events_path.empty() && !write_events_file(events_path, err) &&
-      rc == kExitOk) {
-    rc = kExitUsage;
+  // Document files go out after finish(): the work is joined and the
+  // recorder settled, and it stays valid until the next session.
+  if (!events_path.empty() && !report::write_events_file(events_path)) {
+    err << "cannot write events file '" << events_path << "'\n";
+    if (rc == kExitOk) rc = kExitUsage;
   }
   if (!metrics_path.empty() && !write_metrics_file(metrics_path, err) &&
       rc == kExitOk) {

@@ -6,10 +6,9 @@
 #include <string>
 #include <utility>
 
-#include "obs/event_names.hpp"
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe_names.hpp"
+#include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "raid/array_model.hpp"
 #include "sim/storage_simulator.hpp"
@@ -67,18 +66,13 @@ template <typename Solve>
                                             const std::string& key,
                                             Solve solve) {
   obs::Span span(obs::probe::kSpanSolve, obs::probe::kSpanCategoryCore);
-  if (obs::Journal::enabled()) {
-    obs::Journal::instance().record(obs::seq_event(obs::event::kSolveStart));
-  }
+  obs::emit(obs::event::kSolveStart);
   // Brackets every exit below so hit and computed outcomes journal alike.
   const auto journal_end = [&](const Expected<double>& outcome) {
-    if (obs::Journal::enabled()) {
-      obs::Journal::instance().record(
-          obs::seq_event(obs::event::kSolveEnd)
-              .arg("outcome", outcome.has_value()
-                                  ? "ok"
-                                  : error_code_name(outcome.error().code)));
-    }
+    obs::emit(obs::event::kSolveEnd,
+              {{"outcome", outcome.has_value()
+                               ? "ok"
+                               : error_code_name(outcome.error().code)}});
   };
   const auto guarded = [&]() -> Expected<double> {
     const obs::ScopedTimer timer(

@@ -5,10 +5,9 @@
 #include <string>
 #include <utility>
 
-#include "obs/event_names.hpp"
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe_names.hpp"
+#include "obs/recorder.hpp"
 #include "util/sync.hpp"
 
 namespace nsrel::core {
@@ -16,17 +15,18 @@ namespace nsrel::core {
 namespace {
 
 struct CacheProbes {
-  obs::Counter hits;
-  obs::Counter misses;
   obs::Counter inserts;
   obs::Histogram insert_ns;
 };
 
+/// Registers the cache's whole counter family, so a run without a
+/// single hit still reports solve_cache.hits = 0; hits and misses are
+/// then bumped by their journal events' emit() calls.
 CacheProbes cache_probes() {
   auto& registry = obs::Registry::instance();
-  return {registry.counter(obs::probe::kSolveCacheHits),
-          registry.counter(obs::probe::kSolveCacheMisses),
-          registry.counter(obs::probe::kSolveCacheInserts),
+  (void)registry.counter(obs::probe::kSolveCacheHits);
+  (void)registry.counter(obs::probe::kSolveCacheMisses);
+  return {registry.counter(obs::probe::kSolveCacheInserts),
           registry.histogram(obs::probe::kSolveCacheInsertNs)};
 }
 
@@ -43,21 +43,11 @@ CacheProbes cache_probes() {
   // façade exact per instance without extending the critical section.
   if (found.has_value()) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::Registry::enabled()) {
-      obs::Registry::instance().add(cache_probes().hits);
-    }
-    if (obs::Journal::enabled()) {
-      obs::Journal::instance().record(obs::seq_event(obs::event::kCacheHit));
-    }
+    obs::emit(obs::event::kCacheHit);
     return found;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::Registry::enabled()) {
-    obs::Registry::instance().add(cache_probes().misses);
-  }
-  if (obs::Journal::enabled()) {
-    obs::Journal::instance().record(obs::seq_event(obs::event::kCacheMiss));
-  }
+  obs::emit(obs::event::kCacheMiss);
   return std::nullopt;
 }
 

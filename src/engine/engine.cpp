@@ -12,11 +12,10 @@
 #include <vector>
 
 #include "engine/testing.hpp"
-#include "obs/event_names.hpp"
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe_names.hpp"
 #include "obs/progress.hpp"
+#include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/sync.hpp"
@@ -180,19 +179,13 @@ ResultSet evaluate(const Grid& grid, const EvalOptions& options) {
     // low bits are left for per-chunk sequencing inside sim cells.
     const obs::ScopeGuard journal_scope(
         static_cast<std::uint64_t>(index + 1) << 32);
-    if (obs::Journal::enabled()) {
-      obs::Journal::instance().record(
-          obs::seq_event(obs::event::kCellClaim)
-              .arg("cell", static_cast<std::uint64_t>(index))
-              .arg("point", static_cast<std::uint64_t>(point))
-              .arg("config", static_cast<std::uint64_t>(configuration)));
-    }
+    obs::emit(obs::event::kCellClaim, {{"cell", std::uint64_t{index}},
+                                       {"point", std::uint64_t{point}},
+                                       {"config", std::uint64_t{configuration}}});
     obs::Span cell_span(obs::probe::kSpanCell, obs::probe::kSpanCategoryEngine);
-    if (cell_span.armed()) {
-      cell_span.arg("cell", static_cast<std::uint64_t>(index));
-      cell_span.arg("point", static_cast<std::uint64_t>(point));
-      cell_span.arg("config", core::name(grid.configurations[configuration]));
-    }
+    cell_span.arg("cell", std::uint64_t{index});
+    cell_span.arg("point", std::uint64_t{point});
+    cell_span.arg("config", std::uint64_t{configuration});
     ResultSet::Cell outcome = [&]() -> ResultSet::Cell {
       try {
         for (const testing::CellFault& fault : faults) {
@@ -241,20 +234,17 @@ ResultSet evaluate(const Grid& grid, const EvalOptions& options) {
       }
     }();
     const bool failed = !outcome.has_value();
-    if (cell_span.armed()) {
-      cell_span.arg("outcome", failed ? error_code_name(outcome.error().code)
-                                      : "ok");
-    }
-    if (obs::Registry::enabled()) {
-      auto& registry = obs::Registry::instance();
-      registry.add(registry.counter(failed ? obs::probe::kEngineCellsFailed
-                                           : obs::probe::kEngineCellsOk));
-    }
-    if (failed && obs::Journal::enabled()) {
-      obs::Journal::instance().record(
-          obs::seq_event(obs::event::kCellFail)
-              .arg("cell", static_cast<std::uint64_t>(index))
-              .arg("code", error_code_name(outcome.error().code)));
+    if (failed) {
+      const char* code = error_code_name(outcome.error().code);
+      cell_span.arg("outcome", code);
+      obs::emit(obs::event::kCellFail,
+                {{"cell", std::uint64_t{index}}, {"code", code}});
+    } else {
+      cell_span.arg("outcome", "ok");
+      if (obs::Registry::enabled()) {
+        auto& registry = obs::Registry::instance();
+        registry.add(registry.counter(obs::probe::kEngineCellsOk));
+      }
     }
     cells[index] = std::move(outcome);
     evaluated[index] = 1;
@@ -296,11 +286,6 @@ ResultSet evaluate(const Grid& grid, const EvalOptions& options) {
     for (std::size_t i = 0; i < lanes; ++i) done.push_back(pool.submit(worker));
     for (auto& future : done) future.get();
   }
-
-  // Join point: pool workers (if any) have exited and retired their
-  // journal rings; flush this thread's ring so the journal is complete
-  // even when the fail-fast rethrow below unwinds past the caller.
-  if (obs::Journal::enabled()) obs::Journal::instance().drain();
 
   if (options.on_error != OnError::kSkip) {
     // The lowest-indexed failure among evaluated cells. Fail-fast and

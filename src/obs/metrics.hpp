@@ -1,149 +1,82 @@
-// Process-wide metrics registry: named monotonic counters and duration
-// histograms shared by every subsystem (thread pool, solve cache, engine,
-// Monte-Carlo runner) and rendered as the CLI's `--metrics` block.
+// Metrics view of the recorder: named monotonic counters and duration
+// histograms shared by every subsystem (thread pool, solve cache,
+// engine, Monte-Carlo runner, repair) and rendered as the CLI's
+// `--metrics` block or a `--metrics-out` document.
 //
-// Hot-path design: probes are compiled in everywhere and cost a single
-// relaxed atomic load when the registry is disabled (the default). When
-// enabled, each thread increments its own shard — a fixed-size array of
-// relaxed atomics it alone writes — so counters never contend. snapshot()
-// merges the shards (plus the folded totals of threads that have exited)
-// under the registry mutex; after all writers are joined the merged
-// values are exact, which is what the TSan-covered merge tests assert.
+// Probes are compiled in everywhere and cost one relaxed load of the
+// recorder's gate while metrics are off (the default). When on, each
+// thread folds samples into its own lane's cells — relaxed atomics only
+// it writes — so counters never contend; snapshot() sums the lanes
+// under the recorder mutex and is exact once the writers are joined.
 //
-// Handles (Counter/Histogram) are small indices resolved once by name;
-// registration is idempotent and thread-safe. The registry deliberately
-// never throws from a probe: registering more names than the fixed shard
-// capacity routes the surplus into the reserved "obs.dropped" slot
-// instead of failing the caller.
+// Handles are small indices resolved once by name; registration is
+// idempotent and thread-safe, and never throws: names past the fixed
+// capacity share the reserved "obs.dropped" slot.
 #pragma once
 
-#include <array>
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
-#include <string>
 #include <string_view>
-#include <vector>
 
-#include "util/sync.hpp"
+#include "obs/recorder.hpp"
+#include "obs/snapshot.hpp"
 
 namespace nsrel::obs {
 
-/// Handle to a named monotonic counter. Value-type, trivially copyable;
-/// obtain via Registry::counter().
-struct Counter {
-  std::uint32_t slot = 0;
-};
-
-/// Handle to a named histogram (count/sum/min/max plus log2 buckets).
-struct Histogram {
-  std::uint32_t slot = 0;
-};
-
-/// Log2 buckets per histogram: bucket i counts values with bit width i
-/// (2^47 ns is ~3.3 days, plenty for any duration this process records).
-inline constexpr std::size_t kHistogramBuckets = 48;
-
-/// Monotonic (steady-clock) nanoseconds; the time base for every probe.
-[[nodiscard]] std::uint64_t now_ns();
-
+/// The metrics channel of the one recorder. Holds no state.
 class Registry {
  public:
-  /// The process-wide registry. Deliberately leaked: thread-local shard
-  /// destructors may run during late thread teardown and must always
-  /// find a live instance.
-  static Registry& instance();
+  using Snapshot = MetricsSnapshot;
 
-  /// The global probe gate: one relaxed load. All probes no-op when off.
-  [[nodiscard]] static bool enabled() {
-    return instance().enabled_.load(std::memory_order_relaxed);
+  static Registry& instance() {
+    static Registry view;
+    return view;
   }
-  void set_enabled(bool on);
 
-  /// Returns the handle for `name`, registering it on first use.
-  /// Idempotent and thread-safe; past capacity the reserved overflow
-  /// slot is returned instead of throwing.
-  [[nodiscard]] Counter counter(std::string_view name);
-  [[nodiscard]] Histogram histogram(std::string_view name);
+  /// The probe gate: one relaxed load. All probes no-op when off.
+  [[nodiscard]] static bool enabled() { return Recorder::on(kMetrics); }
+  void set_enabled(bool on) {
+    if (on) {
+      Recorder::instance().enable(kMetrics);
+    } else {
+      Recorder::instance().disable(kMetrics);
+    }
+  }
+
+  [[nodiscard]] Counter counter(std::string_view name) {
+    return Recorder::instance().counter(name);
+  }
+  [[nodiscard]] Histogram histogram(std::string_view name) {
+    return Recorder::instance().histogram(name);
+  }
 
   /// Adds `delta` to the counter (no-op while disabled).
-  void add(Counter counter, std::uint64_t delta = 1);
+  void add(Counter counter, std::uint64_t delta = 1) {
+    Recorder::instance().add(counter, delta);
+  }
 
   /// Records one sample into the histogram (no-op while disabled).
-  void record(Histogram histogram, std::uint64_t value);
+  void record(Histogram histogram, std::uint64_t value) {
+    Recorder::instance().sample(histogram, value);
+  }
 
-  struct CounterRow {
-    std::string name;
-    std::uint64_t value = 0;
-  };
-  struct HistogramRow {
-    std::string name;
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
-    std::uint64_t min = 0;  ///< 0 when count == 0
-    std::uint64_t max = 0;
-    std::array<std::uint64_t, kHistogramBuckets> buckets{};
+  /// Every counter and histogram, sorted by name.
+  [[nodiscard]] Snapshot snapshot() const {
+    return Recorder::instance().snapshot();
+  }
 
-    [[nodiscard]] double mean() const {
-      return count == 0 ? 0.0
-                        : static_cast<double>(sum) / static_cast<double>(count);
-    }
-    /// Upper bound (2^i) of the bucket holding quantile q in [0, 1] —
-    /// an order-of-magnitude answer, which is all log2 buckets give.
-    [[nodiscard]] std::uint64_t quantile_bound(double q) const;
-  };
-  struct Snapshot {
-    std::vector<CounterRow> counters;      ///< sorted by name
-    std::vector<HistogramRow> histograms;  ///< sorted by name
-  };
-
-  /// Merges every shard (live and retired). Exact once all incrementing
-  /// threads have been joined; concurrent increments may or may not be
-  /// included (each one atomically, never torn).
-  [[nodiscard]] Snapshot snapshot() const;
-
-  /// Zeroes every value (live shards and retired totals). Registered
-  /// names and handles stay valid.
-  void reset();
-
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-
- private:
-  Registry();
-  ~Registry() = default;
-
-  struct Shard;
-  struct Retired;
-
-  Shard& local_shard();
-  void retire(Shard* shard);
-
-  friend struct ShardHolder;
-
-  // Relaxed probe gate (see tools/lint/atomics.tsv).
-  std::atomic<bool> enabled_{false};
-  mutable util::Mutex mutex_;
-  std::vector<std::string> counter_names_ NSREL_GUARDED_BY(mutex_);
-  std::vector<std::string> histogram_names_ NSREL_GUARDED_BY(mutex_);
-  std::vector<std::unique_ptr<Shard>> owned_ NSREL_GUARDED_BY(mutex_);
-  std::vector<Shard*> active_ NSREL_GUARDED_BY(mutex_);
-  std::vector<Shard*> free_ NSREL_GUARDED_BY(mutex_);
-  std::unique_ptr<Retired> retired_ NSREL_GUARDED_BY(mutex_);
+  /// Zeroes every value. Registered names and handles stay valid.
+  void reset() { Recorder::instance().clear(kMetrics); }
 };
 
-/// RAII histogram timer: reads the clock only when the registry is
-/// enabled at construction, records elapsed ns at destruction.
+/// RAII histogram timer: reads the clock only when metrics are on at
+/// construction, records elapsed ns at destruction.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram histogram)
       : histogram_(histogram), start_(Registry::enabled() ? now_ns() : 0) {}
   ~ScopedTimer() {
-    if (start_ != 0) {
-      Registry::instance().record(histogram_, now_ns() - start_);
-    }
+    if (start_ != 0) Recorder::instance().sample(histogram_, now_ns() - start_);
   }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
@@ -155,7 +88,6 @@ class ScopedTimer {
 
 /// Renders the snapshot as the CLI's `--metrics` stderr block: counters
 /// then histogram summaries, both sorted by name.
-void print_metrics_block(const Registry::Snapshot& snapshot,
-                         std::ostream& out);
+void print_metrics_block(const MetricsSnapshot& snapshot, std::ostream& out);
 
 }  // namespace nsrel::obs

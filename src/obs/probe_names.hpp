@@ -1,22 +1,37 @@
-// The single registry of observability probe names: every counter,
-// histogram, and trace-span name the library emits lives here and
+// The single registry of observability names: every counter, histogram,
+// trace span and journal event the library emits is declared here and
 // nowhere else.
 //
-// Why a registry instead of string literals at the call sites: probe
-// names are rendered into `--metrics` blocks and Perfetto traces that
-// downstream tooling greps by exact name, so a silent rename (or two
-// subsystems colliding on one name) corrupts dashboards without failing
-// a single test. tools/nsrel-lint enforces both halves mechanically:
-// the `probe-registry` rule rejects string literals passed directly to
-// Registry::counter()/histogram() or obs::Span in src/, and rejects
-// duplicate name constants in this header. Tests are exempt (they mint
-// throwaway "test.*" names for registry behavior itself).
+// Why a registry instead of string literals at the call sites: these
+// names are rendered into `--metrics` blocks, Perfetto traces and
+// nsrel-events-v1 journals that downstream tooling (`nsrel events`,
+// `nsrel report`, dashboards) greps by exact name, so a silent rename
+// or two instruments colliding on one name corrupts analyses without
+// failing a single test. tools/nsrel-lint's `name-registry` rule
+// enforces this mechanically: it rejects string literals passed to
+// Registry::counter()/histogram(), obs::Span or obs::emit()/emit_at()
+// in src/, rejects any string declared twice in this header (metric,
+// span and event names alike), and pins the journal events append-only
+// against tools/lint/event_names.tsv — renaming, reordering or deleting
+// a shipped event is a lint failure, exactly like error codes. Tests
+// are exempt from the literal rule (they mint throwaway "test.*" names).
 //
 // Span identity is (name, category); categories are the per-subsystem
 // kSpanCategory* constants below, and a (name, category) pair appearing
 // twice is fine only when it really is the same span emitted from the
 // same code path (e.g. kSpanRender from each of the four renderers).
 #pragma once
+
+namespace nsrel::obs {
+
+/// A journal event and the counter that the same obs::emit() call bumps
+/// when metrics are on — one declaration, one call, for one fact.
+struct EventName {
+  const char* name;
+  const char* counter = nullptr;  ///< paired counter, or none
+};
+
+}  // namespace nsrel::obs
 
 namespace nsrel::obs::probe {
 
@@ -70,6 +85,8 @@ inline constexpr const char* kSpanEliminationSolve = "elimination_solve";
 inline constexpr const char* kSpanAbsorbingSolve = "absorbing_solve";
 inline constexpr const char* kSpanStationarySolve = "stationary_solve";
 inline constexpr const char* kSpanEvaluate = "evaluate";
+/// One engine grid cell (args: cell, point, config = configuration
+/// index, outcome).
 inline constexpr const char* kSpanCell = "cell";
 /// A Monte-Carlo grid cell: wraps the sim::run_trials call for one
 /// (point, configuration) slot when the grid carries a SimSpec.
@@ -82,8 +99,51 @@ inline constexpr const char* kSpanResultSetRead = "resultset_read";
 /// ResultSet document comparison (report::diff_resultsets / nsrel diff).
 inline constexpr const char* kSpanDiff = "diff";
 /// One per-stripe repair task executed by repair::run_repair (args:
-/// stripe, outcome, retries) and the enclosing run.
+/// object, stripe, outcome, retries) and the enclosing run.
 inline constexpr const char* kSpanRepairTask = "repair_task";
 inline constexpr const char* kSpanRepairRun = "repair_run";
 
 }  // namespace nsrel::obs::probe
+
+// --- journal events ---------------------------------------------------
+// Declaration order is frozen by tools/lint/event_names.tsv: append new
+// events at the end (and a row there), never reorder or rename.
+namespace nsrel::obs::event {
+
+/// Cache-keyed CTMC solve began (no args).
+inline constexpr EventName kSolveStart{"solve.start"};
+/// ...and finished (args: outcome = ok|<stable error code>).
+inline constexpr EventName kSolveEnd{"solve.end"};
+/// Solve-cache lookup classified (no args; the enclosing scope says
+/// which cell asked).
+inline constexpr EventName kCacheHit{"cache.hit", probe::kSolveCacheHits};
+inline constexpr EventName kCacheMiss{"cache.miss", probe::kSolveCacheMisses};
+/// Engine grid cell claimed by a worker (args: cell, point, config).
+inline constexpr EventName kCellClaim{"cell.claim"};
+/// ...and failed with a typed error (args: cell, code).
+inline constexpr EventName kCellFail{"cell.fail", probe::kEngineCellsFailed};
+/// One Monte-Carlo chunk completed (args: stream, trials).
+inline constexpr EventName kSimChunk{"sim.chunk"};
+/// Repair batch barrier reached (sim-time domain; args: batch,
+/// committed).
+inline constexpr EventName kRepairBarrier{"repair.barrier"};
+/// Fault-schedule entry fired (args: node, drive, applied = 0|1 —
+/// no-op entries are recorded too, they still forced a barrier). Not
+/// paired: repair.injected_faults counts only the applied ones.
+inline constexpr EventName kRepairFault{"repair.fault"};
+/// Re-plan after an applied fault (args: invalidated = pending stripes
+/// sent back to planning; repair.replans sums these).
+inline constexpr EventName kRepairReplan{"repair.replan",
+                                         probe::kRepairReplans};
+/// A failed stripe re-queued (args: object, stripe, retries).
+inline constexpr EventName kRepairRetry{"repair.retry", probe::kRepairRetries};
+/// Brick-store read served by decode instead of a direct shard read
+/// (no args; during repair the enclosing barrier scope locates it).
+inline constexpr EventName kBrickDegradedRead{"brick.degraded_read",
+                                              probe::kBrickDegradedReads};
+/// Foreground workload read that returned a typed error — during a
+/// repair run this is a read that found too few live shards (no args;
+/// scoped to the barrier that served it).
+inline constexpr EventName kWorkloadReadFailed{"workload.read_failed"};
+
+}  // namespace nsrel::obs::event

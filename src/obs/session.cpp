@@ -1,53 +1,41 @@
 #include "obs/session.hpp"
 
+#include <cstdint>
 #include <ostream>
 #include <utility>
 
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 
 namespace nsrel::obs {
 
 Session::Session(Options options) : options_(std::move(options)) {
-  if (options_.metrics || options_.registry) {
-    Registry::instance().reset();
-    Registry::instance().set_enabled(true);
-  }
-  if (options_.journal) Journal::instance().begin();
-  if (!options_.trace_path.empty()) TraceRecorder::instance().begin();
+  const std::uint32_t requested =
+      (options_.metrics || options_.registry ? kMetrics : 0U) |
+      (options_.trace_path.empty() ? 0U : kTrace) |
+      (options_.journal ? kJournal : 0U);
+  owned_ = requested & ~Recorder::channels();
+  Recorder::instance().clear(owned_);
+  Recorder::instance().enable(owned_);
 }
 
 Session::~Session() {
-  if (finished_) return;
-  if (options_.metrics || options_.registry) {
-    Registry::instance().set_enabled(false);
-  }
-  if (options_.journal) Journal::instance().disable();
-  if (!options_.trace_path.empty()) TraceRecorder::instance().disable();
+  if (!finished_) Recorder::instance().disable(owned_);
 }
 
 bool Session::finish(std::ostream& err) {
   if (finished_) return true;
   finished_ = true;
+  Recorder::instance().disable(owned_);
   bool ok = true;
-  if (!options_.trace_path.empty()) {
-    if (!TraceRecorder::instance().write_file(options_.trace_path)) {
-      err << "cannot write trace file '" << options_.trace_path << "'\n";
-      ok = false;
-    }
+  if (owns(kTrace) &&
+      !TraceRecorder::instance().write_file(options_.trace_path)) {
+    err << "cannot write trace file '" << options_.trace_path << "'\n";
+    ok = false;
   }
-  if (options_.journal) {
-    // Command bodies drain at their own joins/barriers; this final
-    // drain catches events recorded on this thread since the last one.
-    Journal::instance().drain();
-    Journal::instance().disable();
-  }
-  if (options_.metrics || options_.registry) {
-    Registry::instance().set_enabled(false);
-    if (options_.metrics) {
-      print_metrics_block(Registry::instance().snapshot(), err);
-    }
+  if (owns(kMetrics) && options_.metrics) {
+    print_metrics_block(Recorder::instance().snapshot(), err);
   }
   return ok;
 }

@@ -13,9 +13,6 @@ namespace nsrel::obs {
 
 namespace {
 
-using CounterRow = Registry::CounterRow;
-using HistogramRow = Registry::HistogramRow;
-
 HistogramRow subtract(const HistogramRow& before, const HistogramRow& after) {
   NSREL_EXPECTS(after.count >= before.count);
   NSREL_EXPECTS(after.sum >= before.sum);
@@ -61,8 +58,7 @@ bool rows_equal(const HistogramRow& a, const HistogramRow& b) {
 }  // namespace
 
 MetricsSnapshot MetricsSnapshot::capture() {
-  Registry::Snapshot snap = Registry::instance().snapshot();
-  return MetricsSnapshot{std::move(snap.counters), std::move(snap.histograms)};
+  return Recorder::instance().snapshot();
 }
 
 MetricsSnapshot MetricsSnapshot::delta(const MetricsSnapshot& before,

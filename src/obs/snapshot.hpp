@@ -1,5 +1,5 @@
 // Diffable metrics documents: a MetricsSnapshot is a value-type copy of
-// the registry's merged state with exact delta/merge algebra.
+// the recorder's summed metric cells with exact delta/merge algebra.
 //
 // The algebra is what makes snapshots composable across runs and
 // processes (the `nsrel report` aggregator, the future `nsreld`
@@ -19,16 +19,16 @@
 
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 
 namespace nsrel::obs {
 
 struct MetricsSnapshot {
-  std::vector<Registry::CounterRow> counters;      ///< sorted by name
-  std::vector<Registry::HistogramRow> histograms;  ///< sorted by name
+  std::vector<CounterRow> counters;      ///< sorted by name
+  std::vector<HistogramRow> histograms;  ///< sorted by name
 
-  /// The registry's current merged state. Exact once all incrementing
-  /// threads are joined (Registry::snapshot() semantics).
+  /// The recorder's current metrics. Exact once all incrementing
+  /// threads are joined (Recorder::snapshot() semantics).
   [[nodiscard]] static MetricsSnapshot capture();
 
   /// Per-name subtraction `after - before`. Keeps every row of `after`

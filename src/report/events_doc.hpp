@@ -1,6 +1,6 @@
 // Serialization loop for flight-recorder journals (schema
-// nsrel-events-v1): the write half renders drained obs::Journal events
-// as NDJSON — line 1 is a header object, every following line one
+// nsrel-events-v1): the write half renders obs::Journal events as
+// NDJSON — line 1 is a header object, every following line one
 // event — and the read half parses a journal back strictly (typed
 // kMalformedDocument, layer "report.events", on anything malformed).
 //
@@ -9,14 +9,15 @@
 // be tailed and each complete line is independently parseable; a
 // truncated final line is detectable damage, not silent data loss.
 //
-// Line shapes:
+// Line shapes ("dropped" is always 0: the journal is complete; the
+// field stays so documents keep one shape):
 //   {"schema":"nsrel-events-v1","dropped":0}
 //   {"event":"cell.claim","domain":"seq","seq":4294967296,"cell":0,...}
 //   {"event":"repair.barrier","domain":"sim","seq":7,"t":0.5,...}
 //
 // Event args are flattened into the line in emission order after the
 // reserved keys (event, domain, seq, t); arg keys never collide with
-// the reserved set (event_names.hpp documents each event's args).
+// the reserved set (probe_names.hpp documents each event's args).
 // Deterministic: events arrive stable-sorted by seq from
 // Journal::events(), numbers are raw uint tokens or shortest
 // round-trip doubles, so the same run writes the same bytes at any
@@ -43,7 +44,7 @@ namespace nsrel::report {
 inline constexpr const char* kEventsSchema = "nsrel-events-v1";
 
 /// One parsed journal event (owning strings, unlike the in-process
-/// obs::Event whose names are static literals).
+/// obs::Record whose names are static literals).
 struct EventRecord {
   struct Arg {
     enum class Kind : unsigned char { kUint, kDouble, kLiteral };
@@ -67,10 +68,14 @@ struct EventsDoc {
   std::vector<EventRecord> events;
 };
 
-/// Writes the drained journal as nsrel-events-v1 NDJSON. `events` must
-/// come from Journal::events() (already seq-sorted).
-void write_events_ndjson(const std::vector<obs::Event>& events,
-                         std::uint64_t dropped, std::ostream& out);
+/// Writes a journal as nsrel-events-v1 NDJSON. `events` must come from
+/// Journal::events() (already seq-sorted).
+void write_events_ndjson(const std::vector<obs::Record>& events,
+                         std::ostream& out);
+
+/// write_events_ndjson() of Journal::events() to `path`. Returns false
+/// when the file cannot be created or the stream fails.
+[[nodiscard]] bool write_events_file(const std::string& path);
 
 /// Strict read of an nsrel-events-v1 journal.
 [[nodiscard]] Expected<EventsDoc> read_events_ndjson(std::string_view text);

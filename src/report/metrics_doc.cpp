@@ -20,7 +20,7 @@ namespace {
 
 // --- writer -----------------------------------------------------------
 
-void write_histogram(JsonWriter& json, const obs::Registry::HistogramRow& row) {
+void write_histogram(JsonWriter& json, const obs::HistogramRow& row) {
   json.begin_object();
   json.key("name").value(row.name);
   json.key("count").value(row.count);
@@ -106,24 +106,24 @@ std::uint64_t read_uint(const JsonValue& object, const std::string& path,
                     path + "." + std::string(key));
 }
 
-obs::Registry::CounterRow read_counter(const JsonValue& value,
+obs::CounterRow read_counter(const JsonValue& value,
                                        const std::string& path) {
   if (!value.is_object()) fail(path, "expected an object");
   check_keys(value, path, {"name", "value"});
-  obs::Registry::CounterRow row;
+  obs::CounterRow row;
   row.name = read_string(value, path, "name");
   if (row.name.empty()) fail(path + ".name", "must be non-empty");
   row.value = read_uint(value, path, "value");
   return row;
 }
 
-obs::Registry::HistogramRow read_histogram(const JsonValue& value,
+obs::HistogramRow read_histogram(const JsonValue& value,
                                            const std::string& path) {
   if (!value.is_object()) fail(path, "expected an object");
   check_keys(value, path,
              {"name", "count", "sum", "min", "max", "p50", "p90", "p99",
               "buckets"});
-  obs::Registry::HistogramRow row;
+  obs::HistogramRow row;
   row.name = read_string(value, path, "name");
   if (row.name.empty()) fail(path + ".name", "must be non-empty");
   row.count = read_uint(value, path, "count");
@@ -196,7 +196,7 @@ obs::MetricsSnapshot read_document(const JsonValue& root) {
   std::string last_name;
   for (std::size_t i = 0; i < counters.items.size(); ++i) {
     const std::string path = "counters[" + std::to_string(i) + "]";
-    obs::Registry::CounterRow row = read_counter(counters.items[i], path);
+    obs::CounterRow row = read_counter(counters.items[i], path);
     if (i > 0 && row.name <= last_name) {
       fail(path, "counter names must be strictly ascending");
     }
@@ -209,7 +209,7 @@ obs::MetricsSnapshot read_document(const JsonValue& root) {
   last_name.clear();
   for (std::size_t i = 0; i < histograms.items.size(); ++i) {
     const std::string path = "histograms[" + std::to_string(i) + "]";
-    obs::Registry::HistogramRow row =
+    obs::HistogramRow row =
         read_histogram(histograms.items[i], path);
     if (i > 0 && row.name <= last_name) {
       fail(path, "histogram names must be strictly ascending");

@@ -20,7 +20,7 @@ namespace {
 /// Per-run lookup indexes (std::map for deterministic iteration).
 struct RunIndex {
   std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, const obs::Registry::HistogramRow*> histograms;
+  std::map<std::string, const obs::HistogramRow*> histograms;
   std::map<std::string, std::uint64_t> events;
 };
 
@@ -72,7 +72,7 @@ Aggregate aggregate(const std::vector<RunDoc>& runs) {
 }
 
 void write_histogram_summary(JsonWriter& json,
-                             const obs::Registry::HistogramRow& row) {
+                             const obs::HistogramRow& row) {
   json.begin_object();
   json.key("name").value(row.name);
   json.key("count").value(row.count);
@@ -167,20 +167,20 @@ Table report_table(const std::vector<RunDoc>& runs) {
   for (const auto& histogram : agg.total.histograms) {
     const struct {
       const char* suffix;
-      std::uint64_t (*field)(const obs::Registry::HistogramRow&);
+      std::uint64_t (*field)(const obs::HistogramRow&);
     } sub_rows[] = {
-        {".count", [](const obs::Registry::HistogramRow& r) { return r.count; }},
-        {".sum", [](const obs::Registry::HistogramRow& r) { return r.sum; }},
+        {".count", [](const obs::HistogramRow& r) { return r.count; }},
+        {".sum", [](const obs::HistogramRow& r) { return r.sum; }},
         {".p50",
-         [](const obs::Registry::HistogramRow& r) {
+         [](const obs::HistogramRow& r) {
            return r.quantile_bound(0.50);
          }},
         {".p90",
-         [](const obs::Registry::HistogramRow& r) {
+         [](const obs::HistogramRow& r) {
            return r.quantile_bound(0.90);
          }},
         {".p99",
-         [](const obs::Registry::HistogramRow& r) {
+         [](const obs::HistogramRow& r) {
            return r.quantile_bound(0.99);
          }},
     };

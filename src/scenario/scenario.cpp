@@ -1,9 +1,8 @@
 #include "scenario/scenario.hpp"
 
 #include <cstddef>
-#include <cstdlib>
-#include <fstream>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,11 +10,12 @@
 #include "engine/engine.hpp"
 #include "engine/grid.hpp"
 #include "engine/render.hpp"
-#include "obs/journal.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorder.hpp"
+#include "obs/session.hpp"
 #include "report/events_doc.hpp"
 #include "report/table.hpp"
 #include "util/assert.hpp"
+#include "util/error.hpp"
 #include "util/format.hpp"
 
 namespace nsrel::scenario {
@@ -39,12 +39,15 @@ core::Configuration parse_configuration_token(const std::string& token) {
     throw ContractViolation("unknown scheme '" + scheme +
                             "' (use none|raid5|raid6)");
   }
-  char* end = nullptr;
-  const long ft = std::strtol(ft_text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || ft_text.empty() || ft < 1) {
-    throw ContractViolation("bad fault tolerance in '" + token + "'");
+  const std::string what = "configuration token '" + token + "'";
+  const Expected<int> ft = parse_int(ft_text, "scenario", what);
+  if (!ft.has_value()) throw ContractViolation(ft.error().message());
+  if (ft.value() < 1) {
+    throw ContractViolation(Error{ErrorCode::kInvalidParameter, "scenario",
+                                  what + ": fault tolerance must be >= 1"}
+                                .message());
   }
-  configuration.node_fault_tolerance = static_cast<int>(ft);
+  configuration.node_fault_tolerance = ft.value();
   return configuration;
 }
 
@@ -154,8 +157,11 @@ Scenario parse_scenario(const std::string& text) {
 }
 
 RunOutcome run_scenario(const Scenario& scenario, std::ostream& out) {
-  if (!scenario.trace.empty()) obs::TraceRecorder::instance().begin();
-  if (!scenario.events.empty()) obs::Journal::instance().begin();
+  // Nested inside the CLI's session, a channel the command line already
+  // records stays the CLI's: its flag wins over the [output] key.
+  obs::Session session({scenario.trace, /*metrics=*/false,
+                        /*registry=*/false,
+                        /*journal=*/!scenario.events.empty()});
   engine::Grid grid;
   if (!scenario.sweeps.empty()) {
     std::vector<engine::AxisSpec> axes;
@@ -198,24 +204,15 @@ RunOutcome run_scenario(const Scenario& scenario, std::ostream& out) {
       break;
   }
 
-  if (!scenario.trace.empty() &&
-      !obs::TraceRecorder::instance().write_file(scenario.trace)) {
+  std::ostringstream unused;  // finish() fails only on the trace file
+  if (!session.finish(unused)) {
     throw ContractViolation("cannot write trace file '" + scenario.trace +
                             "'");
   }
-  if (!scenario.events.empty()) {
-    // evaluate() drained at its join; this catches this thread's tail.
-    obs::Journal::instance().drain();
-    obs::Journal::instance().disable();
-    std::ofstream file(scenario.events);
-    if (file) {
-      report::write_events_ndjson(obs::Journal::instance().events(),
-                                  obs::Journal::instance().dropped(), file);
-    }
-    if (!file) {
-      throw ContractViolation("cannot write events file '" + scenario.events +
-                              "'");
-    }
+  if (session.owns(obs::kJournal) &&
+      !report::write_events_file(scenario.events)) {
+    throw ContractViolation("cannot write events file '" + scenario.events +
+                            "'");
   }
 
   const std::size_t total =

@@ -8,10 +8,9 @@
 #include <optional>
 #include <vector>
 
-#include "obs/event_names.hpp"
-#include "obs/journal.hpp"
 #include "obs/probe_names.hpp"
 #include "obs/progress.hpp"
+#include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
@@ -30,20 +29,14 @@ MomentAccumulator sample_chunk(const TrialSampler& sample_one,
                                std::uint64_t seed, std::uint64_t chunk,
                                int chunk_trials, std::uint64_t scope_base) {
   const obs::ScopeGuard journal_scope(scope_base + chunk + 1);
+  const auto trials = static_cast<std::uint64_t>(chunk_trials);
   obs::Span span(obs::probe::kSpanChunk, obs::probe::kSpanCategorySim);
-  if (span.armed()) {
-    span.arg("stream", chunk);
-    span.arg("trials", static_cast<std::uint64_t>(chunk_trials));
-  }
+  span.arg("stream", chunk);
+  span.arg("trials", trials);
   Xoshiro256 rng(stream_seed(seed, chunk));
   MomentAccumulator acc;
   for (int i = 0; i < chunk_trials; ++i) acc.add(sample_one(rng));
-  if (obs::Journal::enabled()) {
-    obs::Journal::instance().record(
-        obs::seq_event(obs::event::kSimChunk)
-            .arg("stream", chunk)
-            .arg("trials", static_cast<std::uint64_t>(chunk_trials)));
-  }
+  obs::emit(obs::event::kSimChunk, {{"stream", chunk}, {"trials", trials}});
   return acc;
 }
 
@@ -162,9 +155,6 @@ MttdlEstimate run_trials(const TrialSampler& sample_one, int trials,
       if (chunks_done >= max_chunks) break;
     }
   }
-  // Join point: the pool (if any) is destroyed, its workers' journal
-  // rings retired; flush this thread's chunks too.
-  if (obs::Journal::enabled()) obs::Journal::instance().drain();
   return estimate;
 }
 

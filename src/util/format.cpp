@@ -46,6 +46,18 @@ std::string human_hours(double hours) {
   return sci(hours, 3) + " h (" + sci(hours / kHoursPerYear, 3) + " yr)";
 }
 
+[[nodiscard]] Expected<double> parse_double(const std::string& text,
+                                            const char* layer,
+                                            const std::string& what) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end == nullptr || *end != '\0' || std::isnan(value)) {
+    return Error{ErrorCode::kInvalidParameter, layer,
+                 what + ": '" + text + "' is not a number"};
+  }
+  return value;
+}
+
 [[nodiscard]] Expected<int> parse_int(const std::string& text,
                                       const char* layer,
                                       const std::string& what) {
@@ -53,11 +65,9 @@ std::string human_hours(double hours) {
     return Error{ErrorCode::kInvalidParameter, layer,
                  what + ": '" + text + "' " + problem};
   };
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (text.empty() || end == nullptr || *end != '\0' || std::isnan(value)) {
-    return invalid("is not a number");
-  }
+  const Expected<double> parsed = parse_double(text, layer, what);
+  if (!parsed.has_value()) return parsed.error();
+  const double value = parsed.value();
   // Range first: the bounds are exact doubles, and infinities fail here.
   if (value < static_cast<double>(std::numeric_limits<int>::min()) ||
       value > static_cast<double>(std::numeric_limits<int>::max())) {

@@ -23,6 +23,13 @@ namespace nsrel {
 /// Hours rendered with an adaptive unit: "39.5 h", "4.2e+07 h (4.8e+03 yr)".
 [[nodiscard]] std::string human_hours(double hours);
 
+/// Parses `text` as a double (any strtod spelling, infinities included).
+/// Text that is not a number, or is NaN, is a kInvalidParameter error
+/// from `layer` whose detail starts with `what` (the flag or key name).
+[[nodiscard]] Expected<double> parse_double(const std::string& text,
+                                            const char* layer,
+                                            const std::string& what);
+
 /// Parses `text` as an int. Accepts any strtod spelling of an integral
 /// value ("64", "1e3"); anything else — not a number, a fraction, or a
 /// value outside the int range — is a kInvalidParameter error from

@@ -6,8 +6,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/event_names.hpp"
-#include "obs/journal.hpp"
+#include "obs/probe_names.hpp"
+#include "obs/recorder.hpp"
 #include "util/assert.hpp"
 #include "util/error.hpp"
 
@@ -70,10 +70,7 @@ WorkloadResult run_read_workload(brick::ObjectStore& store,
         store.try_read_range(objects[pick], offset, params.read_bytes);
     if (!read.has_value()) {
       ++result.failed_reads;
-      if (obs::Journal::enabled()) {
-        obs::Journal::instance().record(
-            obs::seq_event(obs::event::kWorkloadReadFailed));
-      }
+      obs::emit(obs::event::kWorkloadReadFailed);
     }
     const std::uint64_t decodes_now = store.io_stats().decode_operations;
     if (decodes_now > decodes_before) ++result.degraded_reads;

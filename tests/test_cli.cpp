@@ -120,6 +120,31 @@ CommandResult run_argv(std::initializer_list<const char*> tokens) {
   return {code, out.str(), err.str()};
 }
 
+TEST(Dispatch, OutOfDomainFlagsAreTypedUsageErrorsNamingTheFlag) {
+  const struct {
+    std::initializer_list<const char*> argv;
+    const char* flag;
+  } cases[] = {
+      {{"sweep", "--from", "1", "--to", "0"}, "--to"},
+      {{"sweep", "--steps", "1"}, "--steps"},
+      {{"sweep", "--from", "-5"}, "--from"},
+      {{"simulate", "--trials", "1"}, "--trials"},
+      {{"simulate", "--param", "n", "--steps", "1"}, "--steps"},
+      {{"analyze", "--node-mttf", "abc"}, "--node-mttf"},
+  };
+  for (const auto& c : cases) {
+    const CommandResult result = run_argv(c.argv);
+    EXPECT_EQ(result.exit_code, kExitUsage) << c.flag;
+    EXPECT_NE(result.err.find(std::string("cli.args: invalid_parameter: ") +
+                              c.flag),
+              std::string::npos)
+        << result.err;
+    EXPECT_EQ(result.err.find("precondition failed"), std::string::npos)
+        << result.err;
+    EXPECT_EQ(result.err.find("src/"), std::string::npos) << result.err;
+  }
+}
+
 TEST(Dispatch, HelpFlagPrintsUsageAndExitsZero) {
   for (const CommandResult& result :
        {run_argv({"--help"}), run_argv({"analyze", "--help"}),

@@ -83,9 +83,13 @@ TEST(NsrelLint, FiresOnUnorderedContainerInOutputPathAndOnIteration) {
   EXPECT_NE(result.output.find("[ordered-output]"), std::string::npos);
 }
 
+// One fixture tree for the one name-registry rule: literal names at
+// counter()/emit() call sites, a string declared by both a counter and
+// an event, and an event table that is renamed, reordered and short a
+// row against the header.
 TEST(NsrelLint, FiresOnProbeNameLiteralAndDuplicateRegistryEntry) {
   SKIP_WITHOUT_PYTHON();
-  const RunResult result = lint_fixture("probe_registry");
+  const RunResult result = lint_fixture("name_registry");
   EXPECT_EQ(result.status, 1) << result.output;
   EXPECT_NE(result.output.find("string literal"), std::string::npos)
       << result.output;
@@ -95,7 +99,7 @@ TEST(NsrelLint, FiresOnProbeNameLiteralAndDuplicateRegistryEntry) {
 
 TEST(NsrelLint, FiresOnEventNameLiteralDuplicateAndRename) {
   SKIP_WITHOUT_PYTHON();
-  const RunResult result = lint_fixture("event_registry");
+  const RunResult result = lint_fixture("name_registry");
   EXPECT_EQ(result.status, 1) << result.output;
   EXPECT_NE(result.output.find("journal event name is a string literal"),
             std::string::npos)
@@ -103,6 +107,9 @@ TEST(NsrelLint, FiresOnEventNameLiteralDuplicateAndRename) {
   EXPECT_NE(result.output.find("duplicate event name"), std::string::npos)
       << result.output;
   EXPECT_NE(result.output.find("never be reordered or renamed"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("missing from tools/lint/event_names.tsv"),
             std::string::npos)
       << result.output;
 }

@@ -99,6 +99,25 @@ TEST(Scenario, OutputFormatAndJobsParse) {
                ContractViolation);
 }
 
+TEST(Scenario, FaultToleranceTokensAreRangeChecked) {
+  // 4294967298 used to pass strtol and wrap through a cast to int: the
+  // scenario silently ran FT2.
+  for (const char* ft : {"4294967298", "2147483648", "-1", "0", "x"}) {
+    const std::string token = std::string("none-ft") + ft;
+    try {
+      (void)parse_scenario("[configurations]\nlist = " + token + "\n");
+      ADD_FAILURE() << token << " was accepted";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("scenario: invalid_parameter: configuration token '" +
+                          token + "'"),
+                std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_EQ(parse_configuration_token("raid6-ft3").node_fault_tolerance, 3);
+}
+
 TEST(Scenario, IntegerKeysAreRangeChecked) {
   // Each value used to reach a bare double-to-int cast; 99999999999999
   // came out as "must be >= 0".

@@ -186,8 +186,7 @@ TEST(ThreadSafetyGate, AnnotatedHeadersCompileUnderAnalysis) {
   // analysis — the wrapper plus every migrated mutex owner's header.
   for (const char* header :
        {"util/sync.hpp", "util/thread_pool.hpp", "core/solve_cache.hpp",
-        "obs/metrics.hpp", "obs/journal.hpp", "obs/trace.hpp",
-        "obs/progress.hpp"}) {
+        "obs/recorder.hpp", "obs/progress.hpp"}) {
     const RunResult result = run(clangxx + kFlags + " -x c++ " + kSource +
                                  "/src/" + header);
     EXPECT_EQ(result.status, 0) << header << ":\n" << result.output;

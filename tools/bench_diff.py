@@ -9,7 +9,9 @@ baseline) or a regression in the caching/fan-out machinery.
 
 Timings are machine-dependent, so they only WARN: a benchmark slower
 than baseline by more than --warn-factor prints a warning but does not
-affect the exit code. CI uploads both documents as artifacts so a human
+affect the exit code. When both documents name their host and the hosts
+differ, one NOTE line says so, so a timing warning can be read against
+the hardware change. CI uploads both documents as artifacts so a human
 can look at the trajectory.
 
 Exit codes: 0 clean (warnings allowed), 1 counter mismatch or
@@ -35,6 +37,11 @@ def load(path):
               file=sys.stderr)
         sys.exit(2)
     return doc
+
+
+def describe_host(host):
+    return (f"{host.get('hardware_threads', '?')} threads, "
+            f"cpu \"{host.get('cpu_model', '?')}\"")
 
 
 def by_name(doc):
@@ -78,6 +85,13 @@ def main():
               f"'{base_doc.get('binary')}', current is "
               f"'{cur_doc.get('binary')}'", file=sys.stderr)
         sys.exit(1)
+
+    base_host = base_doc.get("host")
+    cur_host = cur_doc.get("host")
+    if base_host is not None and cur_host is not None and base_host != cur_host:
+        print(f"NOTE: host differs: baseline {describe_host(base_host)}, "
+              f"current {describe_host(cur_host)}; timings compare across "
+              f"machines")
 
     base = by_name(base_doc)
     cur = by_name(cur_doc)
