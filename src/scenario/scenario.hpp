@@ -82,7 +82,7 @@ struct Scenario {
   /// precedence over this key.
   std::string trace;
   /// Optional flight-recorder path ([output] events = FILE):
-  /// run_scenario arms the journal and writes the drained events as an
+  /// run_scenario arms the journal and writes its events as an
   /// nsrel-events-v1 NDJSON file there (render with `nsrel events`).
   /// Empty = journal untouched. The CLI's --events flag takes
   /// precedence over this key.
