@@ -155,16 +155,21 @@ BENCHMARK(BM_NirSimEstimateJobs)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Adaptive stopping: how much work a ±5% CI actually needs.
+// Adaptive stopping: how much work a ±5% CI actually needs. The trials
+// counter is deterministic (the same at any job count), so the counter
+// gate pins the estimator's trials-to-CI.
 void BM_NirSimAdaptiveCi(benchmark::State& state) {
   const sim::NirStorageSimulator simulator(accelerated_nir(2), 1);
   sim::ParallelOptions options;
   options.jobs = static_cast<int>(state.range(0));
   options.ci_target = 0.05;
   options.max_trials = 100000;
+  int trials = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(simulator.estimate(1024, options).trials);
+    trials = simulator.estimate(1024, options).trials;
+    benchmark::DoNotOptimize(trials);
   }
+  state.counters["trials"] = static_cast<double>(trials);
 }
 BENCHMARK(BM_NirSimAdaptiveCi)
     ->Arg(1)

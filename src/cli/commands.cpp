@@ -56,10 +56,12 @@ commands:
                 --jobs); see scenarios/*.scenario for the format
   simulate      parallel Monte-Carlo MTTDL estimate vs the analytic model
                 (--trials, --seed, --jobs, --ci-target, --chunk,
-                --max-trials); use accelerated --node-mttf/--drive-mttf
-                so trajectories stay short. With --param/--from/--to/
-                --steps it becomes a Monte-Carlo sweep through the grid
-                engine (same --format/--jobs/--on-error as sweep)
+                --max-trials); regenerative importance sampling runs
+                the paper's baseline rates in milliseconds (if no trial
+                sees a loss the cell fails with non_finite_result:
+                raise --trials or set --ci-target). With --param/--from/
+                --to/--steps it becomes a Monte-Carlo sweep through the
+                grid engine (same --format/--jobs/--on-error as sweep)
   diff          compare two written resultset JSON documents
                 (nsrel diff A.json B.json [--abs-tol X] [--rel-tol Y]
                 [--format table|csv|json]); exit 0 = no drift, 3 = drift,
@@ -527,8 +529,13 @@ int run_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   const std::uint64_t seed = spec.seed;
   engine::Grid grid = engine::single_point(system, {configuration});
   grid.simulation = std::move(spec);
-  const engine::ResultSet results = engine::evaluate(grid, {});
+  const engine::ResultSet results =
+      engine::evaluate(grid, {.on_error = engine::OnError::kSkip});
   if (meter) meter->finish();
+  if (!results.ok(0, 0)) {  // e.g. no trial saw a loss: non_finite_result
+    out << "configuration:     " << core::name(configuration) << "\n";
+    return report_failures(results, err);
+  }
   const sim::MttdlEstimate& estimate = results.sim_at(0, 0).estimate;
   out << "configuration:     " << core::name(configuration) << "\n"
       << "trials:            " << estimate.trials << " (jobs " << jobs

@@ -107,11 +107,12 @@ class Analyzer {
   };
   [[nodiscard]] BuiltChain build_chain(const Configuration& configuration) const;
 
-  /// Monte-Carlo MTTDL estimate from the family's storage simulator,
-  /// routed through the parallel engine. Deterministic for a fixed
-  /// (seed, trials, options.chunk_trials) at any options.jobs. At the
-  /// paper's baseline rates a single trajectory is ~1e8 events — pass an
-  /// accelerated SystemConfig (small MTTFs) for tractable runs.
+  /// Monte-Carlo MTTDL estimate from the family's storage simulator
+  /// (regenerative importance sampling, sim/regenerative.hpp), routed
+  /// through the parallel engine. Deterministic for a fixed (seed,
+  /// trials, options.chunk_trials) at any options.jobs; tractable at the
+  /// paper's baseline rates. Throws ErrorException (non_finite_result)
+  /// when no trial saw a loss.
   [[nodiscard]] sim::MttdlEstimate simulate_mttdl(
       const Configuration& configuration, int trials,
       std::uint64_t seed = 0x5EEDULL,

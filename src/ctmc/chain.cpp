@@ -141,7 +141,16 @@ std::string Chain::validate() const {
 
   // BFS on the reversed graph from absorbing states: every transient state
   // must be able to reach absorption, otherwise MTTDL is infinite and the
-  // absorption matrix is singular.
+  // absorption matrix is singular. The reverse adjacency is built once
+  // (sources of the transitions into state s: sources[first[s]..first[s+1])),
+  // so the search is O(states + transitions).
+  std::vector<std::size_t> first(states_.size() + 1, 0);
+  for (const auto& t : transitions_) ++first[t.to + 1];
+  for (std::size_t s = 0; s < states_.size(); ++s) first[s + 1] += first[s];
+  std::vector<StateId> sources(transitions_.size());
+  std::vector<std::size_t> fill(first.begin(), first.end() - 1);
+  for (const auto& t : transitions_) sources[fill[t.to]++] = t.from;
+
   std::vector<char> reaches(states_.size(), 0);
   std::queue<StateId> frontier;
   for (const StateId a : absorbing_states()) {
@@ -151,10 +160,10 @@ std::string Chain::validate() const {
   while (!frontier.empty()) {
     const StateId current = frontier.front();
     frontier.pop();
-    for (const auto& t : transitions_) {
-      if (t.to == current && !reaches[t.from]) {
-        reaches[t.from] = 1;
-        frontier.push(t.from);
+    for (std::size_t i = first[current]; i < first[current + 1]; ++i) {
+      if (!reaches[sources[i]]) {
+        reaches[sources[i]] = 1;
+        frontier.push(sources[i]);
       }
     }
   }

@@ -3,9 +3,10 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <vector>
+#include <string>
 
 #include "util/assert.hpp"
+#include "util/error.hpp"
 
 namespace nsrel::sim {
 
@@ -51,20 +52,27 @@ MomentAccumulator MomentAccumulator::merge(const MomentAccumulator& a,
   return out;
 }
 
-MomentAccumulator merge_pairwise(std::vector<MomentAccumulator> parts) {
-  if (parts.empty()) return {};
-  // Repeatedly combine adjacent pairs: the reduction tree depends only on
-  // parts.size(), so the result is identical no matter how many threads
-  // filled the vector.
-  while (parts.size() > 1) {
-    std::size_t out = 0;
-    for (std::size_t i = 0; i + 1 < parts.size(); i += 2) {
-      parts[out++] = MomentAccumulator::merge(parts[i], parts[i + 1]);
-    }
-    if (parts.size() % 2 == 1) parts[out++] = parts.back();
-    parts.resize(out);
-  }
-  return parts.front();
+void RatioAccumulator::add(double a, double b) {
+  const double delta_a = a - time.mean;
+  time.add(a);
+  loss.add(b);
+  co_moment += delta_a * (b - loss.mean);
+}
+
+RatioAccumulator RatioAccumulator::merge(const RatioAccumulator& x,
+                                         const RatioAccumulator& y) {
+  if (x.time.count == 0) return y;
+  if (y.time.count == 0) return x;
+  RatioAccumulator out;
+  out.time = MomentAccumulator::merge(x.time, y.time);
+  out.loss = MomentAccumulator::merge(x.loss, y.loss);
+  const double nx = static_cast<double>(x.time.count);
+  const double ny = static_cast<double>(y.time.count);
+  const double n = nx + ny;
+  out.co_moment = x.co_moment + y.co_moment +
+                  (y.time.mean - x.time.mean) * (y.loss.mean - x.loss.mean) *
+                      (nx * ny / n);
+  return out;
 }
 
 MttdlEstimate make_estimate(const MomentAccumulator& acc) {
@@ -72,6 +80,31 @@ MttdlEstimate make_estimate(const MomentAccumulator& acc) {
   const double n = static_cast<double>(acc.count);
   return from_mean_variance(acc.mean, acc.m2 / (n - 1.0),
                             static_cast<int>(acc.count));
+}
+
+MttdlEstimate make_estimate(const RatioAccumulator& acc) {
+  NSREL_EXPECTS(acc.time.count >= 2);
+  const double n = static_cast<double>(acc.time.count);
+  const double a = acc.time.mean;
+  const double b = acc.loss.mean;
+  if (!(b > 0.0)) {
+    throw ErrorException(Error{
+        ErrorCode::kNonFiniteResult, "sim.estimate",
+        "no trial reached data loss in " + std::to_string(acc.time.count) +
+            " trials: the MTTDL ratio is unbounded"});
+  }
+  const double var_a = acc.time.m2 / (n - 1.0);
+  const double var_b = acc.loss.m2 / (n - 1.0);
+  const double cov = acc.co_moment / (n - 1.0);
+  const double ratio = a / b;
+  // Delta method: the per-trial variance of (a - ratio * b) / mean(b).
+  const double variance =
+      (var_a - 2.0 * ratio * cov + ratio * ratio * var_b) / (b * b);
+  // E[mean a / mean b] = ratio * (1 + var_b/(n b^2) - cov/(n a b)) + O(1/n^2).
+  // (cov == 0 for a direct sampler, whose a may be 0.)
+  const double bias =
+      1.0 + var_b / (n * b * b) - (cov == 0.0 ? 0.0 : cov / (n * a * b));
+  return from_mean_variance(ratio / bias, variance, static_cast<int>(n));
 }
 
 MttdlEstimate make_estimate(double sum, double sum_squares, int trials) {

@@ -25,17 +25,20 @@ namespace {
 /// explicitly because thread-local scope does not cross into pool
 /// workers; chunk c journals at scope_base + c + 1, a pure function of
 /// the chunk layout.
-MomentAccumulator sample_chunk(const TrialSampler& sample_one,
-                               std::uint64_t seed, std::uint64_t chunk,
-                               int chunk_trials, std::uint64_t scope_base) {
+RatioAccumulator sample_chunk(const RegenerativeSampler& sample_one,
+                              std::uint64_t seed, std::uint64_t chunk,
+                              int chunk_trials, std::uint64_t scope_base) {
   const obs::ScopeGuard journal_scope(scope_base + chunk + 1);
   const auto trials = static_cast<std::uint64_t>(chunk_trials);
   obs::Span span(obs::probe::kSpanChunk, obs::probe::kSpanCategorySim);
   span.arg("stream", chunk);
   span.arg("trials", trials);
   Xoshiro256 rng(stream_seed(seed, chunk));
-  MomentAccumulator acc;
-  for (int i = 0; i < chunk_trials; ++i) acc.add(sample_one(rng));
+  RatioAccumulator acc;
+  for (int i = 0; i < chunk_trials; ++i) {
+    const RegenerativeTrial trial = sample_one(rng);
+    acc.add(trial.cycle_hours, trial.loss_weight);
+  }
   obs::emit(obs::event::kSimChunk, {{"stream", chunk}, {"trials", trials}});
   return acc;
 }
@@ -44,9 +47,9 @@ MomentAccumulator sample_chunk(const TrialSampler& sample_one,
 /// the pool (or inline when it is null). Workers claim chunk indices
 /// from an atomic counter and write disjoint slots, so the contents of
 /// `accumulators` are schedule-independent.
-void run_wave(const TrialSampler& sample_one, std::uint64_t seed,
+void run_wave(const RegenerativeSampler& sample_one, std::uint64_t seed,
               std::size_t first, std::size_t count, int chunk_trials,
-              std::vector<MomentAccumulator>& accumulators,
+              std::vector<RatioAccumulator>& accumulators,
               ThreadPool* pool, obs::ProgressMeter* progress,
               std::uint64_t scope_base) {
   if (pool == nullptr || count == 1) {
@@ -79,7 +82,7 @@ void run_wave(const TrialSampler& sample_one, std::uint64_t seed,
 
 }  // namespace
 
-MttdlEstimate run_trials(const TrialSampler& sample_one, int trials,
+MttdlEstimate run_trials(const RegenerativeSampler& sample_one, int trials,
                          std::uint64_t seed, const ParallelOptions& options) {
   NSREL_EXPECTS(trials >= 2);
   NSREL_EXPECTS(options.chunk_trials >= 1);
@@ -109,8 +112,8 @@ MttdlEstimate run_trials(const TrialSampler& sample_one, int trials,
   // chunk: pool workers have no thread-local scope of their own.
   const std::uint64_t scope_base = obs::current_scope();
 
-  std::vector<MomentAccumulator> accumulators;
-  MttdlEstimate estimate;
+  std::vector<RatioAccumulator> accumulators;
+  RatioAccumulator merged;
   {
     std::optional<ThreadPool> pool_storage;
     if (jobs > 1) pool_storage.emplace(jobs);
@@ -149,13 +152,25 @@ MttdlEstimate run_trials(const TrialSampler& sample_one, int trials,
       }
       chunks_done += count;
 
-      estimate = make_estimate(merge_pairwise(accumulators));
-      if (!adaptive) break;
-      if (estimate.relative_half_width() <= options.ci_target) break;
-      if (chunks_done >= max_chunks) break;
+      merged = merge_pairwise(accumulators);
+      if (!adaptive || chunks_done >= max_chunks) break;
+      // Until some trial sees a loss the ratio is unbounded: keep going.
+      if (merged.loss.mean > 0.0 &&
+          make_estimate(merged).relative_half_width() <= options.ci_target) {
+        break;
+      }
     }
   }
-  return estimate;
+  return make_estimate(merged);
+}
+
+MttdlEstimate run_trials(const TrialSampler& sample_one, int trials,
+                         std::uint64_t seed, const ParallelOptions& options) {
+  return run_trials(
+      RegenerativeSampler([&sample_one](Xoshiro256& rng) {
+        return RegenerativeTrial{sample_one(rng), 1.0};
+      }),
+      trials, seed, options);
 }
 
 }  // namespace nsrel::sim

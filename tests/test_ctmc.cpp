@@ -126,6 +126,25 @@ TEST(Chain, ValidateDetectsUnreachableAbsorption) {
   EXPECT_FALSE(c.validate().empty());
 }
 
+TEST(Chain, ValidateNamesTheLowestIdStateThatCannotReachAbsorption) {
+  // A long reachable path (found late by the reverse search) plus two
+  // trapped states: the message names the trapped state of lowest id.
+  Chain c;
+  const StateId loss = c.add_state("loss", StateKind::kAbsorbing);
+  StateId previous = loss;
+  for (int i = 0; i < 50; ++i) {
+    const StateId s = c.add_state("path" + std::to_string(i));
+    c.add_transition(s, previous, 1.0);
+    previous = s;
+  }
+  const StateId second = c.add_state("trap_b");
+  const StateId first = c.add_state("trap_a");
+  c.add_transition(first, second, 1.0);
+  c.add_transition(second, first, 2.0);
+  c.add_transition(previous, first, 0.5);
+  EXPECT_EQ(c.validate(), "state 'trap_b' cannot reach absorption");
+}
+
 TEST(Chain, ValidateDetectsMissingStateKinds) {
   Chain only_absorbing;
   only_absorbing.add_state("a", StateKind::kAbsorbing);

@@ -338,6 +338,33 @@ TEST(SimulationGrid, SweepIsJobsInvariantToTheByte) {
   EXPECT_NE(serial.find("\"trials\": 48"), std::string::npos);
 }
 
+TEST(SimulationGrid, CellWhereNoTrialSawALossIsATypedNonFiniteError) {
+  // Two trials per cell at baseline rates: some cells see no loss at
+  // all. Those cells carry non_finite_result (no inf, no null MTTDL);
+  // the others hold estimates, and the document is jobs-invariant.
+  Grid grid = parameter_sweep(core::SystemConfig::baseline(), "drive-mttf",
+                              spaced_points(100e3, 750e3, 6, true),
+                              {{core::InternalScheme::kRaid5, 3}});
+  SimSpec spec;
+  spec.trials = 2;
+  spec.seed = 2;
+  grid.simulation = spec;
+  const ResultSet results =
+      evaluate(grid, {.jobs = 1, .on_error = OnError::kSkip});
+  const std::vector<CellError> errors = results.errors();
+  ASSERT_FALSE(errors.empty());
+  ASSERT_LT(errors.size(), results.point_count());
+  for (const CellError& e : errors) {
+    EXPECT_EQ(e.error.code, ErrorCode::kNonFiniteResult);
+    EXPECT_EQ(e.error.layer, "sim.estimate");
+  }
+  const std::string serial = to_json(results);
+  EXPECT_NE(serial.find("\"non_finite_result\""), std::string::npos);
+  EXPECT_EQ(serial.find("inf"), std::string::npos);
+  EXPECT_EQ(serial,
+            to_json(evaluate(grid, {.jobs = 4, .on_error = OnError::kSkip})));
+}
+
 TEST(SimulationGrid, CellSeedsAreDistinctAndStable) {
   EXPECT_EQ(cell_seed(42, 0), 42u);
   const std::uint64_t second = cell_seed(42, 1);
