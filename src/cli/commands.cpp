@@ -24,7 +24,6 @@
 #include "placement/layout.hpp"
 #include "report/diff.hpp"
 #include "report/events_doc.hpp"
-#include "report/footer.hpp"
 #include "report/json.hpp"
 #include "report/metrics_doc.hpp"
 #include "report/resultset_doc.hpp"
@@ -176,15 +175,17 @@ EvalFlags eval_flags_from_args(const Args& args) {
   return flags;
 }
 
-/// The one --cache-stats footer call per command. Routing every format
-/// branch through report::print_cache_footer (a no-op for JSON) keeps
-/// the footer bytes identical everywhere instead of each switch branch
-/// carrying its own copy.
+/// The one --cache-stats footer per command: a line after table and
+/// CSV output. JSON carries the counters structurally instead
+/// (JsonOptions::cache_meta), since a trailing line would corrupt it.
 void maybe_cache_footer(const EvalFlags& flags,
                         const engine::ResultSet& results, std::ostream& out) {
-  if (!flags.cache_stats) return;
+  if (!flags.cache_stats || flags.format == report::OutputFormat::kJson) {
+    return;
+  }
   const core::SolveCache::Stats stats = results.cache_stats();
-  report::print_cache_footer(stats.hits, stats.misses, flags.format, out);
+  out << "cache: " << stats.hits << " hits, " << stats.misses << " misses ("
+      << (stats.hits + stats.misses) << " lookups)\n";
 }
 
 /// Reads a whole file for the document commands (diff/events/report);
@@ -674,15 +675,20 @@ int run_report(const Args& args, std::ostream& out, std::ostream& err) {
     }
     runs.push_back(std::move(doc.value()));
   }
+  const Expected<report::Summary> summary = report::summarize(std::move(runs));
+  if (!summary.has_value()) {
+    err << "error: " << summary.error().message() << "\n";
+    return kExitUsage;
+  }
   switch (format) {
     case report::OutputFormat::kTable:
-      report::report_table(runs).print(out);
+      report::report_table(summary.value()).print(out);
       break;
     case report::OutputFormat::kCsv:
-      report::report_table(runs).print_csv(out);
+      report::report_table(summary.value()).print_csv(out);
       break;
     case report::OutputFormat::kJson:
-      report::write_report_json(runs, out);
+      report::write_report_json(summary.value(), out);
       break;
   }
   return kExitOk;

@@ -9,7 +9,6 @@
 
 #include "obs/probe_names.hpp"
 #include "obs/trace.hpp"
-#include "report/footer.hpp"
 #include "report/resultset_doc.hpp"
 #include "util/assert.hpp"
 #include "util/format.hpp"
@@ -231,12 +230,6 @@ void write_json(const ResultSet& results, std::ostream& out,
   obs::Span span(obs::probe::kSpanRender, obs::probe::kSpanCategoryEngine);
   span.arg("kind", "json");
   report::write_resultset_json(make_document(results, options), out);
-}
-
-void print_cache_footer(const ResultSet& results, std::ostream& out) {
-  const core::SolveCache::Stats& stats = results.cache_stats();
-  report::print_cache_footer(stats.hits, stats.misses,
-                             report::OutputFormat::kTable, out);
 }
 
 }  // namespace nsrel::engine

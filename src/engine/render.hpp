@@ -3,10 +3,9 @@
 // and compare tables, the simulate estimate table, or a machine-readable
 // JSON document. None of the renderers include scheduling artifacts
 // (jobs, cache counters) by default, so rendered bytes are identical at
-// any --jobs value. Cache counters appear only behind the explicit
-// opt-in switches below (JsonOptions::cache_meta / print_cache_footer —
-// the CLI's --cache-stats flag), documented as schedule-dependent for
-// jobs > 1.
+// any --jobs value. Cache counters appear only behind explicit opt-ins
+// (JsonOptions::cache_meta and the CLI's --cache-stats footer),
+// documented as schedule-dependent for jobs > 1.
 //
 // N-axis grids: every row-oriented renderer is axis-order agnostic — it
 // walks the flattened points in grid order and uses the point's label
@@ -78,9 +77,5 @@ struct JsonOptions {
 void write_json(const ResultSet& results, std::ostream& out);
 void write_json(const ResultSet& results, std::ostream& out,
                 const JsonOptions& options);
-
-/// One-line solve-cache summary ("cache: N hits, M misses (L lookups)")
-/// appended after tables when the CLI's --cache-stats flag asks for it.
-void print_cache_footer(const ResultSet& results, std::ostream& out);
 
 }  // namespace nsrel::engine

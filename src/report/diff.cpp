@@ -4,8 +4,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -24,19 +27,16 @@ namespace {
 }
 
 /// Collects one cell's drifting fields.
-class CellDiff {
- public:
-  CellDiff(const CellDoc& cell, const std::string& configuration_name,
-           const DiffOptions& options, std::vector<DriftRow>& rows)
-      : cell_(cell),
-        configuration_name_(configuration_name),
-        options_(options),
-        rows_(rows) {}
+struct CellDiff {
+  const CellDoc& cell;
+  const std::string& configuration_name;
+  const DiffOptions& options;
+  std::vector<DriftRow>& rows;
 
   void field(const std::string& name, double a, double b) {
     const double magnitude = std::max(std::abs(a), std::abs(b));
     const double delta = std::abs(a - b);
-    if (a == b || delta <= options_.abs_tol + options_.rel_tol * magnitude) {
+    if (a == b || delta <= options.abs_tol + options.rel_tol * magnitude) {
       return;
     }
     DriftRow row = base(name);
@@ -47,7 +47,7 @@ class CellDiff {
     row.b_value = b;
     row.abs_delta = delta;
     row.rel_delta = magnitude > 0.0 ? delta / magnitude : 0.0;
-    rows_.push_back(std::move(row));
+    rows.push_back(std::move(row));
   }
 
   void field(const std::string& name, const std::string& a,
@@ -56,77 +56,72 @@ class CellDiff {
     DriftRow row = base(name);
     row.a = a;
     row.b = b;
-    rows_.push_back(std::move(row));
+    rows.push_back(std::move(row));
   }
 
- private:
   [[nodiscard]] DriftRow base(const std::string& name) const {
     DriftRow row;
-    row.point = cell_.point;
-    row.configuration = cell_.configuration;
-    row.configuration_name = configuration_name_;
+    row.point = cell.point;
+    row.configuration = cell.configuration;
+    row.configuration_name = configuration_name;
     row.field = name;
     return row;
   }
-
-  const CellDoc& cell_;
-  const std::string& configuration_name_;
-  const DiffOptions& options_;
-  std::vector<DriftRow>& rows_;
 };
 
-std::string kind_name(const CellDoc& cell) {
-  if (std::holds_alternative<ErrorCellDoc>(cell.data)) return "error";
-  if (std::holds_alternative<SimCellDoc>(cell.data)) return "sim";
-  return "analytic";
+/// Indexed by CellDoc::data's alternative.
+constexpr std::string_view kKindNames[] = {kAnalyticKind, kSimKind,
+                                           kCellErrorKey};
+
+/// Compares one cell kind's fields as its schema list names them, keys
+/// prefixed by `prefix`. Integer fields (a sim estimate's trials and
+/// seed) are the estimate's identity, not measurements: they come first
+/// and compare exactly, tolerances do not apply. Strings compare exactly
+/// in list order; doubles under the tolerances.
+template <typename Cell, typename Fields>
+void diff_fields(CellDiff& diff, const Cell& a, const Cell& b,
+                 const Fields& fields, const std::string& prefix = "") {
+  for (const bool identity : {true, false}) {
+    for (const CellField<Cell>& field : fields) {
+      std::visit(
+          [&](auto member) {
+            using T = std::remove_cvref_t<decltype(a.*member)>;
+            if (std::is_integral_v<T> != identity) return;
+            const std::string name = prefix + std::string(field.key);
+            if constexpr (std::is_integral_v<T>) {
+              diff.field(name, std::to_string(a.*member),
+                         std::to_string(b.*member));
+            } else {
+              diff.field(name, a.*member, b.*member);
+            }
+          },
+          field.member);
+    }
+  }
 }
 
 void diff_cell(const CellDoc& a, const CellDoc& b,
                const std::string& configuration_name,
                const DiffOptions& options, std::vector<DriftRow>& rows) {
-  CellDiff diff(a, configuration_name, options, rows);
-  const std::string kind_a = kind_name(a);
-  const std::string kind_b = kind_name(b);
-  if (kind_a != kind_b) {
-    diff.field("kind", kind_a, kind_b);
+  CellDiff diff{a, configuration_name, options, rows};
+  if (a.data.index() != b.data.index()) {
+    diff.field(std::string(kCellKindKey),
+               std::string(kKindNames[a.data.index()]),
+               std::string(kKindNames[b.data.index()]));
     return;
   }
   if (const auto* error_a = std::get_if<ErrorCellDoc>(&a.data)) {
-    const auto& error_b = std::get<ErrorCellDoc>(b.data);
-    diff.field("error.code", error_a->code, error_b.code);
-    diff.field("error.layer", error_a->layer, error_b.layer);
-    diff.field("error.detail", error_a->detail, error_b.detail);
+    diff_fields(diff, *error_a, std::get<ErrorCellDoc>(b.data),
+                kErrorCellFields, std::string(kCellErrorKey) + ".");
     return;
   }
   if (const auto* sim_a = std::get_if<SimCellDoc>(&a.data)) {
-    const auto& sim_b = std::get<SimCellDoc>(b.data);
-    // Trials and seed are the estimate's identity, not measurements:
-    // exact compare, tolerances do not apply.
-    diff.field("trials", std::to_string(sim_a->trials),
-               std::to_string(sim_b.trials));
-    diff.field("seed", std::to_string(sim_a->seed),
-               std::to_string(sim_b.seed));
-    diff.field("mean_hours", sim_a->mean_hours, sim_b.mean_hours);
-    diff.field("stddev_hours", sim_a->stddev_hours, sim_b.stddev_hours);
-    diff.field("stderr_hours", sim_a->stderr_hours, sim_b.stderr_hours);
-    diff.field("ci95_low_hours", sim_a->ci95_low_hours, sim_b.ci95_low_hours);
-    diff.field("ci95_high_hours", sim_a->ci95_high_hours,
-               sim_b.ci95_high_hours);
+    diff_fields(diff, *sim_a, std::get<SimCellDoc>(b.data), kSimCellFields);
     return;
   }
   const auto& analytic_a = std::get<AnalyticCellDoc>(a.data);
   const auto& analytic_b = std::get<AnalyticCellDoc>(b.data);
-  diff.field("mttdl_hours", analytic_a.mttdl_hours, analytic_b.mttdl_hours);
-  diff.field("events_per_system_year", analytic_a.events_per_system_year,
-             analytic_b.events_per_system_year);
-  diff.field("events_per_pb_year", analytic_a.events_per_pb_year,
-             analytic_b.events_per_pb_year);
-  diff.field("logical_capacity_bytes", analytic_a.logical_capacity_bytes,
-             analytic_b.logical_capacity_bytes);
-  diff.field("node_rebuild_hours", analytic_a.node_rebuild_hours,
-             analytic_b.node_rebuild_hours);
-  diff.field("node_rebuild_bottleneck", analytic_a.node_rebuild_bottleneck,
-             analytic_b.node_rebuild_bottleneck);
+  diff_fields(diff, analytic_a, analytic_b, kAnalyticCellFields);
   if (analytic_a.has_internal_raid != analytic_b.has_internal_raid) {
     diff.field("internal_raid_fields",
                analytic_a.has_internal_raid ? "present" : "absent",
@@ -134,12 +129,7 @@ void diff_cell(const CellDoc& a, const CellDoc& b,
     return;
   }
   if (analytic_a.has_internal_raid) {
-    diff.field("array_failure_per_hour", analytic_a.array_failure_per_hour,
-               analytic_b.array_failure_per_hour);
-    diff.field("sector_error_per_hour", analytic_a.sector_error_per_hour,
-               analytic_b.sector_error_per_hour);
-    diff.field("restripe_hours", analytic_a.restripe_hours,
-               analytic_b.restripe_hours);
+    diff_fields(diff, analytic_a, analytic_b, kInternalRaidCellFields);
   }
 }
 

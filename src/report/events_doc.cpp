@@ -1,9 +1,7 @@
 #include "report/events_doc.hpp"
 
-#include <cerrno>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -15,6 +13,7 @@
 
 #include "obs/journal.hpp"
 #include "obs/probe_names.hpp"
+#include "report/field_reader.hpp"
 #include "report/json.hpp"
 #include "report/json_parse.hpp"
 
@@ -57,73 +56,50 @@ void write_event_line(const obs::Record& event, std::ostream& out) {
 
 // --- reader -----------------------------------------------------------
 
-/// Schema-validation failure. Thrown internally, converted to Expected
-/// at the read_events_ndjson boundary.
-[[noreturn]] void fail(const std::string& path, const std::string& what) {
-  throw ErrorException(Error{ErrorCode::kMalformedDocument, "report.events",
-                             path + ": " + what});
-}
-
-std::uint64_t parse_uint(const JsonValue& value, const std::string& field) {
-  if (!value.is_number()) fail(field, "expected an unsigned integer");
-  const std::string& token = value.text;
-  const bool digits_only =
-      !token.empty() &&
-      token.find_first_not_of("0123456789") == std::string::npos;
-  if (!digits_only || (token.size() > 1 && token[0] == '0')) {
-    fail(field, "expected an unsigned integer");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(token.c_str(), &end, 10);
-  if (errno != 0 || end != token.c_str() + token.size()) {
-    fail(field, "unsigned integer out of range");
-  }
-  return parsed;
-}
+constexpr FieldReader kReader{"report.events"};
 
 std::uint64_t read_header(const JsonValue& root, const std::string& path) {
-  if (!root.is_object()) fail(path, "expected an object");
+  kReader.check_object(root, path);
   if (root.members.size() != 2 || root.members[0].first != "schema" ||
       root.members[1].first != "dropped") {
-    fail(path, "header must be {\"schema\", \"dropped\"}");
+    kReader.fail(path, "header must be {\"schema\", \"dropped\"}");
   }
   const JsonValue& schema = root.members[0].second;
   if (!schema.is_string() || schema.text != kEventsSchema) {
-    fail(path + ".schema",
-         "expected '" + std::string(kEventsSchema) + "'");
+    kReader.fail(path + ".schema",
+                 "expected '" + std::string(kEventsSchema) + "'");
   }
-  return parse_uint(root.members[1].second, path + ".dropped");
+  return kReader.uint(root.members[1].second, path + ".dropped");
 }
 
 EventRecord read_event(const JsonValue& root, const std::string& path) {
-  if (!root.is_object()) fail(path, "expected an object");
+  kReader.check_object(root, path);
   const auto& members = root.members;
   // Reserved keys come first and in order; everything after is an arg.
   // (The parser already rejected duplicate keys.)
   if (members.size() < 3 || members[0].first != "event" ||
       members[1].first != "domain" || members[2].first != "seq") {
-    fail(path, "event lines must start with event, domain, seq");
+    kReader.fail(path, "event lines must start with event, domain, seq");
   }
   EventRecord record;
   if (!members[0].second.is_string() || members[0].second.text.empty()) {
-    fail(path + ".event", "expected a non-empty string");
+    kReader.fail(path + ".event", "expected a non-empty string");
   }
   record.name = members[0].second.text;
   const JsonValue& domain = members[1].second;
   if (!domain.is_string() || (domain.text != "seq" && domain.text != "sim")) {
-    fail(path + ".domain", "expected \"seq\" or \"sim\"");
+    kReader.fail(path + ".domain", "expected \"seq\" or \"sim\"");
   }
   record.sim_domain = domain.text == "sim";
-  record.seq = parse_uint(members[2].second, path + ".seq");
+  record.seq = kReader.uint(members[2].second, path + ".seq");
 
   std::size_t next = 3;
   if (record.sim_domain) {
     if (members.size() < 4 || members[3].first != "t" ||
         !members[3].second.is_number()) {
-      fail(path, "sim-domain events must carry a numeric 't'");
+      kReader.fail(path, "sim-domain events must carry a numeric 't'");
     }
-    record.sim_seconds = members[3].second.number;
+    record.sim_seconds = kReader.number(members[3].second, path + ".t");
     next = 4;
   }
 
@@ -131,27 +107,21 @@ EventRecord read_event(const JsonValue& root, const std::string& path) {
     const auto& [key, value] = members[i];
     const std::string field = path + "." + key;
     if (key == "event" || key == "domain" || key == "seq" || key == "t") {
-      fail(field, "reserved key out of position");
+      kReader.fail(field, "reserved key out of position");
     }
     EventRecord::Arg arg;
     arg.key = key;
     if (value.is_string()) {
       arg.kind = EventRecord::Arg::Kind::kLiteral;
       arg.literal_value = value.text;
+    } else if (FieldReader::is_digits(value)) {
+      arg.kind = EventRecord::Arg::Kind::kUint;
+      arg.uint_value = kReader.uint(value, field);
     } else if (value.is_number()) {
-      const std::string& token = value.text;
-      const bool digits_only =
-          !token.empty() &&
-          token.find_first_not_of("0123456789") == std::string::npos;
-      if (digits_only) {
-        arg.kind = EventRecord::Arg::Kind::kUint;
-        arg.uint_value = parse_uint(value, field);
-      } else {
-        arg.kind = EventRecord::Arg::Kind::kDouble;
-        arg.double_value = value.number;
-      }
+      arg.kind = EventRecord::Arg::Kind::kDouble;
+      arg.double_value = kReader.number(value, field);
     } else {
-      fail(field, "args must be numbers or strings");
+      kReader.fail(field, "args must be numbers or strings");
     }
     record.args.push_back(std::move(arg));
   }
@@ -244,11 +214,11 @@ bool write_events_file(const std::string& path) {
 }
 
 [[nodiscard]] Expected<EventsDoc> read_events_ndjson(std::string_view text) {
-  EventsDoc doc;
-  std::size_t line_number = 0;
-  std::size_t pos = 0;
-  bool saw_header = false;
-  try {
+  return catch_typed<EventsDoc>([text] {
+    EventsDoc doc;
+    std::size_t line_number = 0;
+    std::size_t pos = 0;
+    bool saw_header = false;
     while (pos < text.size()) {
       std::size_t end = text.find('\n', pos);
       if (end == std::string_view::npos) end = text.size();
@@ -257,13 +227,13 @@ bool write_events_file(const std::string& path) {
       ++line_number;
       const std::string path = "line " + std::to_string(line_number);
       if (line.find_first_not_of(" \t\r") == std::string_view::npos) {
-        if (!saw_header) fail(path, "journal must start with a header line");
+        if (!saw_header) {
+          kReader.fail(path, "journal must start with a header line");
+        }
         continue;  // tolerate a trailing blank line
       }
       Expected<JsonValue> parsed = parse_json(line);
-      if (!parsed.has_value()) {
-        fail(path, parsed.error().detail);
-      }
+      if (!parsed.has_value()) kReader.fail(path, parsed.error().detail);
       if (!saw_header) {
         doc.dropped = read_header(parsed.value(), path);
         saw_header = true;
@@ -271,18 +241,17 @@ bool write_events_file(const std::string& path) {
         doc.events.push_back(read_event(parsed.value(), path));
       }
     }
-    if (!saw_header) fail("line 1", "journal must start with a header line");
-  } catch (const ErrorException& e) {
-    return e.error();
-  }
-  return doc;
+    if (!saw_header) {
+      kReader.fail("line 1", "journal must start with a header line");
+    }
+    return doc;
+  });
 }
 
-std::vector<std::pair<std::string, std::uint64_t>> event_counts(
-    const EventsDoc& doc) {
+std::map<std::string, std::uint64_t> event_counts(const EventsDoc& doc) {
   std::map<std::string, std::uint64_t> counts;
   for (const EventRecord& record : doc.events) ++counts[record.name];
-  return {counts.begin(), counts.end()};
+  return counts;
 }
 
 Table events_timeline_table(const EventsDoc& doc) {

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -82,7 +83,7 @@ void write_events_ndjson(const std::vector<obs::Record>& events,
 
 /// Occurrence count per event name, in name order — the cross-run rows
 /// `nsrel report` shows for a journal column.
-[[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> event_counts(
+[[nodiscard]] std::map<std::string, std::uint64_t> event_counts(
     const EventsDoc& doc);
 
 /// Flat timeline: one row per event (#, domain, clock, event, details

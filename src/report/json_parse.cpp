@@ -24,7 +24,7 @@ namespace {
 constexpr std::size_t kMaxDepth = 64;
 
 /// Recursive-descent parser. Errors are signalled through ErrorException
-/// (caught once at the parse_json boundary) so the recursion does not
+/// (caught once at the catch_typed boundary) so the recursion does not
 /// have to thread Expected through every production.
 class Parser {
  public:
@@ -303,12 +303,12 @@ class Parser {
 
 }  // namespace
 
+JsonValue parse_json_or_throw(std::string_view text) {
+  return Parser(text).parse_document();
+}
+
 [[nodiscard]] Expected<JsonValue> parse_json(std::string_view text) {
-  try {
-    return Parser(text).parse_document();
-  } catch (const ErrorException& e) {
-    return e.error();
-  }
+  return catch_typed<JsonValue>([text] { return parse_json_or_throw(text); });
 }
 
 }  // namespace nsrel::report

@@ -57,5 +57,20 @@ struct JsonValue {
 /// kMalformedDocument errors (layer "report.json") carrying the byte
 /// offset of the problem.
 [[nodiscard]] Expected<JsonValue> parse_json(std::string_view text);
+/// parse_json that throws the typed error (ErrorException) instead, for
+/// document readers that run inside catch_typed().
+[[nodiscard]] JsonValue parse_json_or_throw(std::string_view text);
+
+/// Runs `body`, returning a typed error it throws (ErrorException) as
+/// Expected: the boundary of every report reader, which signals through
+/// exceptions so its recursive descent need not thread Expected around.
+template <typename T, typename Body>
+[[nodiscard]] Expected<T> catch_typed(Body&& body) {
+  try {
+    return std::forward<Body>(body)();
+  } catch (const ErrorException& e) {
+    return e.error();
+  }
+}
 
 }  // namespace nsrel::report

@@ -1,19 +1,19 @@
 #include "report/resultset_doc.hpp"
 
-#include <cerrno>
+#include <climits>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <limits>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
 
 #include "obs/probe_names.hpp"
 #include "obs/trace.hpp"
+#include "report/field_reader.hpp"
 #include "report/json.hpp"
 #include "report/json_parse.hpp"
 
@@ -21,351 +21,255 @@ namespace nsrel::report {
 
 namespace {
 
+constexpr FieldReader kReader{"report.resultset"};
+
+// --- cell schema walks ------------------------------------------------
+
+template <typename Cell, typename Fields>
+void write_fields(JsonWriter& json, const Cell& cell, const Fields& fields) {
+  for (const CellField<Cell>& field : fields) {
+    std::visit([&](auto member) { json.key(field.key).value(cell.*member); },
+               field.member);
+  }
+}
+
+template <typename Cell, typename Fields>
+void read_fields(const JsonValue& object, const std::string& path,
+                 const Fields& fields, Cell& cell) {
+  for (const CellField<Cell>& field : fields) {
+    std::visit(
+        [&](auto member) {
+          auto& slot = cell.*member;
+          using T = std::remove_reference_t<decltype(slot)>;
+          if constexpr (std::is_same_v<T, double>) {
+            slot = kReader.number(object, path, field.key);
+          } else if constexpr (std::is_same_v<T, std::string>) {
+            slot = kReader.string(object, path, field.key);
+          } else if constexpr (std::is_same_v<T, int>) {
+            const std::uint64_t value = kReader.uint(object, path, field.key);
+            if (value > static_cast<std::uint64_t>(INT_MAX)) {
+              kReader.fail(path + "." + std::string(field.key),
+                           "unsigned integer out of range");
+            }
+            slot = static_cast<int>(value);
+          } else {
+            slot = kReader.uint(object, path, field.key);
+          }
+        },
+        field.member);
+  }
+}
+
+/// "<path>.<key>" for the field of `fields` that holds `member`.
+template <typename Fields, typename Member>
+std::string field_path(const std::string& path, const Fields& fields,
+                       Member member) {
+  for (const auto& field : fields) {
+    if (field.member == decltype(field.member)(member)) {
+      return path + "." + std::string(field.key);
+    }
+  }
+  return path;
+}
+
+/// `keys` plus the keys of every list: what check_keys allows.
+template <typename... Lists>
+std::vector<std::string_view> keys_of(std::vector<std::string_view> keys,
+                                      const Lists&... lists) {
+  (..., [&] { for (const auto& field : lists) keys.push_back(field.key); }());
+  return keys;
+}
+
 // --- writer -----------------------------------------------------------
 
 void write_cell(JsonWriter& json, const CellDoc& cell) {
   json.begin_object();
-  json.key("point").value(cell.point);
-  json.key("configuration").value(cell.configuration);
+  write_fields(json, cell, kCellIndexFields);
   if (const auto* error = std::get_if<ErrorCellDoc>(&cell.data)) {
-    json.key("error").begin_object();
-    json.key("code").value(error->code);
-    json.key("layer").value(error->layer);
-    json.key("detail").value(error->detail);
+    json.key(kCellErrorKey).begin_object();
+    write_fields(json, *error, kErrorCellFields);
     json.end_object();
-    json.end_object();
-    return;
-  }
-  json.key("error").null();
-  if (const auto* analytic = std::get_if<AnalyticCellDoc>(&cell.data)) {
-    json.key("kind").value("analytic");
-    json.key("mttdl_hours").value(analytic->mttdl_hours);
-    json.key("events_per_system_year").value(analytic->events_per_system_year);
-    json.key("events_per_pb_year").value(analytic->events_per_pb_year);
-    json.key("logical_capacity_bytes").value(analytic->logical_capacity_bytes);
-    json.key("node_rebuild_hours").value(analytic->node_rebuild_hours);
-    json.key("node_rebuild_bottleneck")
-        .value(analytic->node_rebuild_bottleneck);
+  } else if (const auto* analytic = std::get_if<AnalyticCellDoc>(&cell.data)) {
+    json.key(kCellErrorKey).null();
+    json.key(kCellKindKey).value(kAnalyticKind);
+    write_fields(json, *analytic, kAnalyticCellFields);
     if (analytic->has_internal_raid) {
-      json.key("array_failure_per_hour")
-          .value(analytic->array_failure_per_hour);
-      json.key("sector_error_per_hour").value(analytic->sector_error_per_hour);
-      json.key("restripe_hours").value(analytic->restripe_hours);
+      write_fields(json, *analytic, kInternalRaidCellFields);
     }
   } else {
-    const auto& sim = std::get<SimCellDoc>(cell.data);
-    json.key("kind").value("sim");
-    json.key("mean_hours").value(sim.mean_hours);
-    json.key("stddev_hours").value(sim.stddev_hours);
-    json.key("stderr_hours").value(sim.stderr_hours);
-    json.key("ci95_low_hours").value(sim.ci95_low_hours);
-    json.key("ci95_high_hours").value(sim.ci95_high_hours);
-    json.key("trials").value(sim.trials);
-    json.key("seed").value(sim.seed);
+    json.key(kCellErrorKey).null();
+    json.key(kCellKindKey).value(kSimKind);
+    write_fields(json, std::get<SimCellDoc>(cell.data), kSimCellFields);
   }
   json.end_object();
 }
 
 // --- reader -----------------------------------------------------------
 
-/// Schema-validation failure. Thrown internally, converted to Expected
-/// at the read_resultset_json boundary.
-[[noreturn]] void fail(const std::string& path, const std::string& what) {
-  throw ErrorException(Error{ErrorCode::kMalformedDocument,
-                             "report.resultset", path + ": " + what});
-}
-
-const JsonValue& require(const JsonValue& object, const std::string& path,
-                         std::string_view key) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) {
-    fail(path, "missing key '" + std::string(key) + "'");
-  }
-  return *value;
-}
-
-void check_object(const JsonValue& value, const std::string& path) {
-  if (!value.is_object()) fail(path, "expected an object");
-}
-
-void check_keys(const JsonValue& object, const std::string& path,
-                const std::vector<std::string_view>& allowed) {
-  for (const auto& [key, value] : object.members) {
-    bool known = false;
-    for (const std::string_view candidate : allowed) {
-      if (key == candidate) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) fail(path, "unknown key '" + key + "'");
-  }
-}
-
-std::string read_string(const JsonValue& object, const std::string& path,
-                        std::string_view key) {
-  const JsonValue& value = require(object, path, key);
-  if (!value.is_string()) {
-    fail(path + "." + std::string(key), "expected a string");
-  }
-  return value.text;
-}
-
-double read_number(const JsonValue& object, const std::string& path,
-                   std::string_view key) {
-  const JsonValue& value = require(object, path, key);
-  if (!value.is_number()) {
-    fail(path + "." + std::string(key), "expected a number");
-  }
-  return value.number;
-}
-
-/// An exact non-negative integer: the raw token must be plain digits
-/// (no sign, fraction, or exponent) so uint64 values — solve-cache
-/// counters, sim seeds — survive without a double round-trip.
-std::uint64_t read_uint(const JsonValue& object, const std::string& path,
-                        std::string_view key) {
-  const JsonValue& value = require(object, path, key);
-  const std::string field = path + "." + std::string(key);
-  if (!value.is_number()) fail(field, "expected an unsigned integer");
-  const std::string& token = value.text;
-  const bool digits_only =
-      !token.empty() && token.find_first_not_of("0123456789") ==
-                            std::string::npos;
-  if (!digits_only || (token.size() > 1 && token[0] == '0')) {
-    fail(field, "expected an unsigned integer");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(token.c_str(), &end, 10);
-  if (errno == ERANGE || end != token.c_str() + token.size()) {
-    fail(field, "unsigned integer out of range");
-  }
-  return parsed;
-}
-
 CacheMetaDoc read_cache_meta(const JsonValue& meta, const std::string& path) {
-  check_object(meta, path);
-  check_keys(meta, path, {"cache"});
-  const JsonValue& cache = require(meta, path, "cache");
+  kReader.check_object(meta, path);
+  kReader.check_keys(meta, path, {"cache"});
+  const JsonValue& cache = kReader.require(meta, path, "cache");
   const std::string cache_path = path + ".cache";
-  check_object(cache, cache_path);
-  check_keys(cache, cache_path, {"hits", "misses", "lookups"});
+  kReader.check_object(cache, cache_path);
+  kReader.check_keys(cache, cache_path, {"hits", "misses", "lookups"});
   CacheMetaDoc doc;
-  doc.hits = read_uint(cache, cache_path, "hits");
-  doc.misses = read_uint(cache, cache_path, "misses");
-  doc.lookups = read_uint(cache, cache_path, "lookups");
+  doc.hits = kReader.uint(cache, cache_path, "hits");
+  doc.misses = kReader.uint(cache, cache_path, "misses");
+  doc.lookups = kReader.uint(cache, cache_path, "lookups");
   return doc;
 }
 
-std::vector<AxisDoc> read_axes(const JsonValue& axes) {
-  if (!axes.is_array()) fail("axes", "expected an array");
-  std::vector<AxisDoc> out;
-  out.reserve(axes.items.size());
-  for (std::size_t i = 0; i < axes.items.size(); ++i) {
-    const std::string path = "axes[" + std::to_string(i) + "]";
-    const JsonValue& axis = axes.items[i];
-    check_object(axis, path);
-    check_keys(axis, path, {"name"});
-    AxisDoc doc;
-    doc.name = read_string(axis, path, "name");
-    if (doc.name.empty()) fail(path + ".name", "axis name must be non-empty");
-    out.push_back(std::move(doc));
+PointDoc read_point(const JsonValue& point, const std::string& path,
+                    std::size_t axis_count) {
+  kReader.check_object(point, path);
+  PointDoc doc;
+  doc.label = kReader.string(point, path, "label");
+  if (axis_count == 0) {
+    kReader.check_keys(point, path, {"label"});
+    return doc;
   }
-  return out;
-}
-
-std::vector<PointDoc> read_points(const JsonValue& points,
-                                  std::size_t axis_count) {
-  if (!points.is_array()) fail("points", "expected an array");
-  if (points.items.empty()) fail("points", "must be non-empty");
-  std::vector<PointDoc> out;
-  out.reserve(points.items.size());
-  for (std::size_t i = 0; i < points.items.size(); ++i) {
-    const std::string path = "points[" + std::to_string(i) + "]";
-    const JsonValue& point = points.items[i];
-    check_object(point, path);
-    PointDoc doc;
-    doc.label = read_string(point, path, "label");
-    if (axis_count == 0) {
-      check_keys(point, path, {"label"});
-    } else {
-      check_keys(point, path, {"label", "x"});
-      const JsonValue& x = require(point, path, "x");
-      if (!x.is_array()) fail(path + ".x", "expected an array");
-      if (x.items.size() != axis_count) {
-        fail(path + ".x", "expected one coordinate per axis (" +
-                              std::to_string(axis_count) + ")");
-      }
-      doc.x.reserve(x.items.size());
-      for (std::size_t a = 0; a < x.items.size(); ++a) {
-        if (!x.items[a].is_number()) {
-          fail(path + ".x[" + std::to_string(a) + "]", "expected a number");
-        }
-        doc.x.push_back(x.items[a].number);
-      }
-    }
-    out.push_back(std::move(doc));
+  kReader.check_keys(point, path, {"label", "x"});
+  const JsonValue& x = kReader.require(point, path, "x");
+  kReader.check_array(x, path + ".x");
+  if (x.items.size() != axis_count) {
+    kReader.fail(path + ".x", "expected one coordinate per axis (" +
+                                  std::to_string(axis_count) + ")");
   }
-  return out;
-}
-
-std::vector<std::string> read_configurations(const JsonValue& configurations) {
-  if (!configurations.is_array()) fail("configurations", "expected an array");
-  if (configurations.items.empty()) {
-    fail("configurations", "must be non-empty");
-  }
-  std::vector<std::string> out;
-  out.reserve(configurations.items.size());
-  for (std::size_t i = 0; i < configurations.items.size(); ++i) {
-    const JsonValue& name = configurations.items[i];
-    if (!name.is_string()) {
-      fail("configurations[" + std::to_string(i) + "]", "expected a string");
-    }
-    out.push_back(name.text);
-  }
-  return out;
+  doc.x = kReader.read_array(
+      x, path + ".x",
+      [](const JsonValue& coordinate, const std::string& field, std::size_t) {
+        return kReader.number(coordinate, field);
+      });
+  return doc;
 }
 
 CellDoc read_cell(const JsonValue& cell, const std::string& path,
                   std::size_t points, std::size_t configurations) {
-  check_object(cell, path);
+  kReader.check_object(cell, path);
   CellDoc doc;
-  doc.point = read_uint(cell, path, "point");
-  doc.configuration = read_uint(cell, path, "configuration");
-  if (doc.point >= points) fail(path + ".point", "index out of range");
-  if (doc.configuration >= configurations) {
-    fail(path + ".configuration", "index out of range");
+  read_fields(cell, path, kCellIndexFields, doc);
+  if (doc.point >= points) {
+    kReader.fail(field_path(path, kCellIndexFields, &CellDoc::point),
+                 "index out of range");
   }
-  const JsonValue& error = require(cell, path, "error");
+  if (doc.configuration >= configurations) {
+    kReader.fail(field_path(path, kCellIndexFields, &CellDoc::configuration),
+                 "index out of range");
+  }
+  const JsonValue& error = kReader.require(cell, path, kCellErrorKey);
+  const std::string error_path = path + "." + std::string(kCellErrorKey);
   if (error.is_object()) {
-    const std::string error_path = path + ".error";
-    check_keys(cell, path, {"point", "configuration", "error"});
-    check_keys(error, error_path, {"code", "layer", "detail"});
+    kReader.check_keys(cell, path, keys_of({kCellErrorKey}, kCellIndexFields));
+    kReader.check_keys(error, error_path, keys_of({}, kErrorCellFields));
     ErrorCellDoc failed;
-    failed.code = read_string(error, error_path, "code");
-    failed.layer = read_string(error, error_path, "layer");
-    failed.detail = read_string(error, error_path, "detail");
+    read_fields(error, error_path, kErrorCellFields, failed);
     if (failed.code.empty()) {
-      fail(error_path + ".code", "error code must be non-empty");
+      kReader.fail(
+          field_path(error_path, kErrorCellFields, &ErrorCellDoc::code),
+          "error code must be non-empty");
     }
     doc.data = std::move(failed);
     return doc;
   }
-  if (!error.is_null()) fail(path + ".error", "expected null or an object");
-  const std::string kind = read_string(cell, path, "kind");
-  if (kind == "analytic") {
+  if (!error.is_null()) kReader.fail(error_path, "expected null or an object");
+  const std::string kind = kReader.string(cell, path, kCellKindKey);
+  const std::vector<std::string_view> ok_keys = {kCellErrorKey, kCellKindKey};
+  if (kind == kAnalyticKind) {
     AnalyticCellDoc analytic;
-    analytic.has_internal_raid = cell.find("array_failure_per_hour") != nullptr;
-    std::vector<std::string_view> allowed = {
-        "point",
-        "configuration",
-        "error",
-        "kind",
-        "mttdl_hours",
-        "events_per_system_year",
-        "events_per_pb_year",
-        "logical_capacity_bytes",
-        "node_rebuild_hours",
-        "node_rebuild_bottleneck"};
-    if (analytic.has_internal_raid) {
-      allowed.push_back("array_failure_per_hour");
-      allowed.push_back("sector_error_per_hour");
-      allowed.push_back("restripe_hours");
-    }
-    check_keys(cell, path, allowed);
-    analytic.mttdl_hours = read_number(cell, path, "mttdl_hours");
-    analytic.events_per_system_year =
-        read_number(cell, path, "events_per_system_year");
-    analytic.events_per_pb_year =
-        read_number(cell, path, "events_per_pb_year");
-    analytic.logical_capacity_bytes =
-        read_number(cell, path, "logical_capacity_bytes");
-    analytic.node_rebuild_hours = read_number(cell, path, "node_rebuild_hours");
-    analytic.node_rebuild_bottleneck =
-        read_string(cell, path, "node_rebuild_bottleneck");
+    analytic.has_internal_raid =
+        cell.find(kInternalRaidCellFields[0].key) != nullptr;
+    kReader.check_keys(
+        cell, path,
+        analytic.has_internal_raid
+            ? keys_of(ok_keys, kCellIndexFields, kAnalyticCellFields,
+                      kInternalRaidCellFields)
+            : keys_of(ok_keys, kCellIndexFields, kAnalyticCellFields));
+    read_fields(cell, path, kAnalyticCellFields, analytic);
     if (analytic.node_rebuild_bottleneck != "disk" &&
         analytic.node_rebuild_bottleneck != "network") {
-      fail(path + ".node_rebuild_bottleneck", "expected 'disk' or 'network'");
+      kReader.fail(field_path(path, kAnalyticCellFields,
+                              &AnalyticCellDoc::node_rebuild_bottleneck),
+                   "expected 'disk' or 'network'");
     }
     if (analytic.has_internal_raid) {
-      analytic.array_failure_per_hour =
-          read_number(cell, path, "array_failure_per_hour");
-      analytic.sector_error_per_hour =
-          read_number(cell, path, "sector_error_per_hour");
-      analytic.restripe_hours = read_number(cell, path, "restripe_hours");
+      read_fields(cell, path, kInternalRaidCellFields, analytic);
     }
     doc.data = std::move(analytic);
-    return doc;
-  }
-  if (kind == "sim") {
-    check_keys(cell, path,
-               {"point", "configuration", "error", "kind", "mean_hours",
-                "stddev_hours", "stderr_hours", "ci95_low_hours",
-                "ci95_high_hours", "trials", "seed"});
+  } else if (kind == kSimKind) {
+    kReader.check_keys(cell, path,
+                       keys_of(ok_keys, kCellIndexFields, kSimCellFields));
     SimCellDoc sim;
-    sim.mean_hours = read_number(cell, path, "mean_hours");
-    sim.stddev_hours = read_number(cell, path, "stddev_hours");
-    sim.stderr_hours = read_number(cell, path, "stderr_hours");
-    sim.ci95_low_hours = read_number(cell, path, "ci95_low_hours");
-    sim.ci95_high_hours = read_number(cell, path, "ci95_high_hours");
-    const std::uint64_t trials = read_uint(cell, path, "trials");
-    if (trials >
-        static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-      fail(path + ".trials", "unsigned integer out of range");
-    }
-    sim.trials = static_cast<int>(trials);
-    sim.seed = read_uint(cell, path, "seed");
+    read_fields(cell, path, kSimCellFields, sim);
     doc.data = std::move(sim);
-    return doc;
+  } else {
+    kReader.fail(path + "." + std::string(kCellKindKey),
+                 "expected '" + std::string(kAnalyticKind) + "' or '" +
+                     std::string(kSimKind) + "'");
   }
-  fail(path + ".kind", "expected 'analytic' or 'sim'");
+  return doc;
 }
 
-ResultSetDoc read_document(const JsonValue& root) {
-  check_object(root, "document");
-  check_keys(root, "document",
-             {"schema", "method", "meta", "axes", "points", "configurations",
-              "cells"});
-  const std::string schema = read_string(root, "document", "schema");
+ResultSetDoc read_root(const JsonValue& root) {
+  kReader.check_object(root, "document");
+  kReader.check_keys(root, "document",
+                     {"schema", "method", "meta", "axes", "points",
+                      "configurations", "cells"});
+  const std::string schema = kReader.string(root, "document", "schema");
   if (schema != kResultSetSchema) {
-    fail("schema", "expected '" + std::string(kResultSetSchema) + "', got '" +
-                       schema + "'");
+    kReader.fail("schema", "expected '" + std::string(kResultSetSchema) +
+                               "', got '" + schema + "'");
   }
   ResultSetDoc doc;
-  doc.method = read_string(root, "document", "method");
-  if (doc.method.empty()) fail("method", "must be non-empty");
+  doc.method = kReader.string(root, "document", "method");
+  if (doc.method.empty()) kReader.fail("method", "must be non-empty");
   if (const JsonValue* meta = root.find("meta")) {
     doc.cache = read_cache_meta(*meta, "meta");
   }
-  doc.axes = read_axes(require(root, "document", "axes"));
-  doc.points = read_points(require(root, "document", "points"),
-                           doc.axes.size());
-  doc.configurations =
-      read_configurations(require(root, "document", "configurations"));
+  doc.axes = kReader.read_array(
+      kReader.require(root, "document", "axes"), "axes",
+      [](const JsonValue& axis, const std::string& path, std::size_t) {
+        kReader.check_object(axis, path);
+        kReader.check_keys(axis, path, {"name"});
+        AxisDoc named{kReader.string(axis, path, "name")};
+        if (named.name.empty()) {
+          kReader.fail(path + ".name", "axis name must be non-empty");
+        }
+        return named;
+      });
+  doc.points = kReader.read_array(
+      kReader.require(root, "document", "points"), "points",
+      [&](const JsonValue& point, const std::string& path, std::size_t) {
+        return read_point(point, path, doc.axes.size());
+      });
+  if (doc.points.empty()) kReader.fail("points", "must be non-empty");
+  doc.configurations = kReader.read_array(
+      kReader.require(root, "document", "configurations"), "configurations",
+      [](const JsonValue& name, const std::string& path, std::size_t) {
+        return kReader.string(name, path);
+      });
+  if (doc.configurations.empty()) {
+    kReader.fail("configurations", "must be non-empty");
+  }
 
-  const JsonValue& cells = require(root, "document", "cells");
-  if (!cells.is_array()) fail("cells", "expected an array");
-  const std::size_t expected = doc.points.size() * doc.configurations.size();
+  const JsonValue& cells = kReader.require(root, "document", "cells");
+  kReader.check_array(cells, "cells");
+  const std::size_t columns = doc.configurations.size();
+  const std::size_t expected = doc.points.size() * columns;
   if (cells.items.size() != expected) {
-    fail("cells", "expected " + std::to_string(expected) +
-                      " cells (points x configurations), got " +
-                      std::to_string(cells.items.size()));
+    kReader.fail("cells", "expected " + std::to_string(expected) +
+                              " cells (points x configurations), got " +
+                              std::to_string(cells.items.size()));
   }
-  doc.cells.reserve(cells.items.size());
-  for (std::size_t i = 0; i < cells.items.size(); ++i) {
-    const std::string path = "cells[" + std::to_string(i) + "]";
-    CellDoc cell = read_cell(cells.items[i], path, doc.points.size(),
-                             doc.configurations.size());
-    const std::uint64_t expected_point = i / doc.configurations.size();
-    const std::uint64_t expected_configuration =
-        i % doc.configurations.size();
-    if (cell.point != expected_point ||
-        cell.configuration != expected_configuration) {
-      fail(path, "cells must be in row-major (point-major) order");
-    }
-    doc.cells.push_back(std::move(cell));
-  }
+  doc.cells = kReader.read_array(
+      cells, "cells",
+      [&](const JsonValue& value, const std::string& path, std::size_t i) {
+        CellDoc cell = read_cell(value, path, doc.points.size(), columns);
+        if (cell.point != i / columns || cell.configuration != i % columns) {
+          kReader.fail(path, "cells must be in row-major (point-major) order");
+        }
+        return cell;
+      });
   return doc;
 }
 
@@ -420,16 +324,14 @@ void write_resultset_json(const ResultSetDoc& doc, std::ostream& out) {
   obs::Span span(obs::probe::kSpanResultSetRead,
                  obs::probe::kSpanCategoryReport);
   span.arg("bytes", static_cast<std::uint64_t>(text.size()));
-  Expected<JsonValue> parsed = parse_json(text);
-  if (!parsed.has_value()) return parsed.error();
-  try {
-    ResultSetDoc doc = read_document(parsed.value());
-    if (span.armed()) span.arg("outcome", "ok");
-    return doc;
-  } catch (const ErrorException& e) {
-    if (span.armed()) span.arg("outcome", error_code_name(e.error().code));
-    return e.error();
+  Expected<ResultSetDoc> doc =
+      catch_typed<ResultSetDoc>(
+      [text] { return read_root(parse_json_or_throw(text)); });
+  if (span.armed()) {
+    span.arg("outcome",
+             doc.has_value() ? "ok" : error_code_name(doc.error().code));
   }
+  return doc;
 }
 
 }  // namespace nsrel::report

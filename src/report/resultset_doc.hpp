@@ -108,6 +108,58 @@ struct CellDoc {
   }
 };
 
+/// One serialized field of a cell record: its JSON key and the member
+/// that holds it. The lists below are the cell schema, each kind's
+/// fields in document order: the writer, the reader and
+/// diff_resultsets all walk them, so every key is stated once.
+template <typename Cell>
+struct CellField {
+  std::string_view key;
+  std::variant<double Cell::*, int Cell::*, std::uint64_t Cell::*,
+               std::string Cell::*>
+      member;
+};
+
+/// Every cell record opens with its row-major position, then "error"
+/// (null for ok cells) and, for ok cells, "kind".
+inline constexpr CellField<CellDoc> kCellIndexFields[] = {
+    {"point", &CellDoc::point},
+    {"configuration", &CellDoc::configuration}};
+inline constexpr std::string_view kCellErrorKey = "error";
+inline constexpr std::string_view kCellKindKey = "kind";
+inline constexpr std::string_view kAnalyticKind = "analytic";
+inline constexpr std::string_view kSimKind = "sim";
+
+/// The members of a failed cell's "error" object.
+inline constexpr CellField<ErrorCellDoc> kErrorCellFields[] = {
+    {"code", &ErrorCellDoc::code},
+    {"layer", &ErrorCellDoc::layer},
+    {"detail", &ErrorCellDoc::detail}};
+
+inline constexpr CellField<AnalyticCellDoc> kAnalyticCellFields[] = {
+    {"mttdl_hours", &AnalyticCellDoc::mttdl_hours},
+    {"events_per_system_year", &AnalyticCellDoc::events_per_system_year},
+    {"events_per_pb_year", &AnalyticCellDoc::events_per_pb_year},
+    {"logical_capacity_bytes", &AnalyticCellDoc::logical_capacity_bytes},
+    {"node_rebuild_hours", &AnalyticCellDoc::node_rebuild_hours},
+    {"node_rebuild_bottleneck", &AnalyticCellDoc::node_rebuild_bottleneck}};
+
+/// Present exactly when has_internal_raid; the first key's presence is
+/// what the reader tests.
+inline constexpr CellField<AnalyticCellDoc> kInternalRaidCellFields[] = {
+    {"array_failure_per_hour", &AnalyticCellDoc::array_failure_per_hour},
+    {"sector_error_per_hour", &AnalyticCellDoc::sector_error_per_hour},
+    {"restripe_hours", &AnalyticCellDoc::restripe_hours}};
+
+inline constexpr CellField<SimCellDoc> kSimCellFields[] = {
+    {"mean_hours", &SimCellDoc::mean_hours},
+    {"stddev_hours", &SimCellDoc::stddev_hours},
+    {"stderr_hours", &SimCellDoc::stderr_hours},
+    {"ci95_low_hours", &SimCellDoc::ci95_low_hours},
+    {"ci95_high_hours", &SimCellDoc::ci95_high_hours},
+    {"trials", &SimCellDoc::trials},
+    {"seed", &SimCellDoc::seed}};
+
 struct ResultSetDoc {
   std::string method;
   std::optional<CacheMetaDoc> cache;

@@ -1,7 +1,9 @@
 #include "report/summary.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <string>
@@ -17,84 +19,35 @@ namespace nsrel::report {
 
 namespace {
 
-/// Per-run lookup indexes (std::map for deterministic iteration).
-struct RunIndex {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, const obs::HistogramRow*> histograms;
-  std::map<std::string, std::uint64_t> events;
-};
-
-RunIndex index_run(const RunDoc& run) {
-  RunIndex index;
-  if (run.metrics.has_value()) {
-    for (const auto& row : run.metrics->counters) {
-      index.counters.emplace(row.name, row.value);
-    }
-    for (const auto& row : run.metrics->histograms) {
-      index.histograms.emplace(row.name, &row);
-    }
-  }
-  if (run.events.has_value()) {
-    for (auto& [name, count] : event_counts(*run.events)) {
-      index.events.emplace(name, count);
-    }
-  }
-  return index;
+/// The row called `name` in `rows` (name-sorted), or nullptr.
+template <typename Row>
+const Row* find_row(const std::vector<Row>& rows, const std::string& name) {
+  const auto it = std::lower_bound(
+      rows.begin(), rows.end(), name,
+      [](const Row& row, const std::string& key) { return row.name < key; });
+  return it != rows.end() && it->name == name ? &*it : nullptr;
 }
 
-/// The aggregation both renderers share.
-struct Aggregate {
-  std::vector<RunIndex> indexes;
-  obs::MetricsSnapshot total;                       ///< merged metrics
-  std::map<std::string, std::uint64_t> total_events;
-  std::uint64_t total_dropped = 0;
-  bool any_metrics = false;
-  bool any_events = false;
-};
-
-Aggregate aggregate(const std::vector<RunDoc>& runs) {
-  Aggregate agg;
-  for (const RunDoc& run : runs) {
-    agg.indexes.push_back(index_run(run));
-    if (run.metrics.has_value()) {
-      agg.any_metrics = true;
-      agg.total = obs::MetricsSnapshot::merge(agg.total, *run.metrics);
-    }
-    if (run.events.has_value()) {
-      agg.any_events = true;
-      agg.total_dropped += run.events->dropped;
-      for (const auto& [name, count] : event_counts(*run.events)) {
-        agg.total_events[name] += count;
-      }
-    }
-  }
-  return agg;
+/// A histogram's report rows (suffix, value): count, sum, percentiles.
+std::vector<std::pair<const char*, std::uint64_t>> histogram_rows(
+    const obs::HistogramRow& r) {
+  return {{".count", r.count},
+          {".sum", r.sum},
+          {".p50", r.quantile_bound(0.50)},
+          {".p90", r.quantile_bound(0.90)},
+          {".p99", r.quantile_bound(0.99)}};
 }
 
-void write_histogram_summary(JsonWriter& json,
-                             const obs::HistogramRow& row) {
-  json.begin_object();
-  json.key("name").value(row.name);
-  json.key("count").value(row.count);
-  json.key("sum").value(row.sum);
-  json.key("min").value(row.min);
-  json.key("max").value(row.max);
-  json.key("p50").value(row.quantile_bound(0.50));
-  json.key("p90").value(row.quantile_bound(0.90));
-  json.key("p99").value(row.quantile_bound(0.99));
-  json.end_object();
+/// `total += value`; false (total untouched) when the sum would wrap.
+[[nodiscard]] bool add_exact(std::uint64_t& total, std::uint64_t value) {
+  if (value > std::numeric_limits<std::uint64_t>::max() - total) return false;
+  total += value;
+  return true;
 }
 
-void write_name_values(JsonWriter& json, const char* key,
-                       const std::map<std::string, std::uint64_t>& values) {
-  json.key(key).begin_array();
-  for (const auto& [name, value] : values) {
-    json.begin_object();
-    json.key("name").value(name);
-    json.key("value").value(value);
-    json.end_object();
-  }
-  json.end_array();
+[[nodiscard]] Error overflow(const std::string& row) {
+  return Error{ErrorCode::kInvalidParameter, "report.summary",
+               "total of row '" + row + "' overflows uint64"};
 }
 
 }  // namespace
@@ -115,100 +68,118 @@ void write_name_values(JsonWriter& json, const char* key,
                 schema->text == kEventsSchema;
   }
 
+  const auto labelled = [&run](Error error) {
+    error.detail = run.label + ": " + error.detail;
+    return error;
+  };
   if (is_events) {
     Expected<EventsDoc> events = read_events_ndjson(text);
-    if (!events.has_value()) {
-      Error error = events.error();
-      error.detail = run.label + ": " + error.detail;
-      return error;
-    }
+    if (!events.has_value()) return labelled(events.error());
     run.events = std::move(events.value());
     return run;
   }
 
   Expected<obs::MetricsSnapshot> metrics = read_metrics_json(text);
-  if (!metrics.has_value()) {
-    Error error = metrics.error();
-    error.detail = run.label + ": " + error.detail;
-    return error;
-  }
+  if (!metrics.has_value()) return labelled(metrics.error());
   run.metrics = std::move(metrics.value());
   return run;
 }
 
-Table report_table(const std::vector<RunDoc>& runs) {
-  const Aggregate agg = aggregate(runs);
+[[nodiscard]] Expected<Summary> summarize(std::vector<RunDoc> runs) {
+  Summary summary;
+  for (const RunDoc& run : runs) {
+    summary.event_counts.emplace_back();
+    if (run.metrics.has_value()) {
+      summary.total = obs::MetricsSnapshot::merge(summary.total, *run.metrics);
+      // merge() adds in uint64: a total wrapped iff it is below the
+      // addend just merged in.
+      for (const auto& row : run.metrics->counters) {
+        if (find_row(summary.total.counters, row.name)->value < row.value) {
+          return overflow(row.name);
+        }
+      }
+      for (const auto& row : run.metrics->histograms) {
+        const obs::HistogramRow* total =
+            find_row(summary.total.histograms, row.name);
+        if (total->count < row.count) return overflow(row.name + ".count");
+        if (total->sum < row.sum) return overflow(row.name + ".sum");
+      }
+    }
+    if (run.events.has_value()) {
+      if (!add_exact(summary.total_dropped, run.events->dropped)) {
+        return overflow("events.dropped");
+      }
+      summary.event_counts.back() = event_counts(*run.events);
+      for (const auto& [name, count] : summary.event_counts.back()) {
+        if (!add_exact(summary.total_events[name], count)) {
+          return overflow("events." + name);
+        }
+      }
+    }
+  }
+  summary.runs = std::move(runs);
+  return summary;
+}
 
+Table report_table(const Summary& summary) {
+  const std::vector<RunDoc>& runs = summary.runs;
   std::vector<std::string> headers{"row"};
   for (const RunDoc& run : runs) headers.push_back(run.label);
   headers.emplace_back("total");
   Table table(std::move(headers));
 
+  // One row: `per_run(i)` per run ("-" where that run has no such row),
+  // then the total.
   const auto add_row = [&](const std::string& name, const auto& per_run,
-                           const std::string& total) {
+                           std::uint64_t total) {
     std::vector<std::string> cells{name};
     for (std::size_t i = 0; i < runs.size(); ++i) cells.push_back(per_run(i));
-    cells.push_back(total);
+    cells.push_back(std::to_string(total));
     table.add_row(std::move(cells));
   };
 
-  for (const auto& counter : agg.total.counters) {
+  for (const auto& counter : summary.total.counters) {
     add_row(
         counter.name,
         [&](std::size_t i) -> std::string {
-          const auto it = agg.indexes[i].counters.find(counter.name);
-          return it == agg.indexes[i].counters.end()
-                     ? "-"
-                     : std::to_string(it->second);
+          const auto* row =
+              runs[i].metrics.has_value()
+                  ? find_row(runs[i].metrics->counters, counter.name)
+                  : nullptr;
+          return row == nullptr ? "-" : std::to_string(row->value);
         },
-        std::to_string(counter.value));
+        counter.value);
   }
-
-  for (const auto& histogram : agg.total.histograms) {
-    const struct {
-      const char* suffix;
-      std::uint64_t (*field)(const obs::HistogramRow&);
-    } sub_rows[] = {
-        {".count", [](const obs::HistogramRow& r) { return r.count; }},
-        {".sum", [](const obs::HistogramRow& r) { return r.sum; }},
-        {".p50",
-         [](const obs::HistogramRow& r) {
-           return r.quantile_bound(0.50);
-         }},
-        {".p90",
-         [](const obs::HistogramRow& r) {
-           return r.quantile_bound(0.90);
-         }},
-        {".p99",
-         [](const obs::HistogramRow& r) {
-           return r.quantile_bound(0.99);
-         }},
-    };
-    for (const auto& sub : sub_rows) {
+  for (const auto& histogram : summary.total.histograms) {
+    const auto totals = histogram_rows(histogram);
+    for (std::size_t k = 0; k < totals.size(); ++k) {
       add_row(
-          histogram.name + sub.suffix,
+          histogram.name + totals[k].first,
           [&](std::size_t i) -> std::string {
-            const auto it = agg.indexes[i].histograms.find(histogram.name);
-            return it == agg.indexes[i].histograms.end()
+            const auto* row =
+                runs[i].metrics.has_value()
+                    ? find_row(runs[i].metrics->histograms, histogram.name)
+                    : nullptr;
+            return row == nullptr
                        ? "-"
-                       : std::to_string(sub.field(*it->second));
+                       : std::to_string(histogram_rows(*row)[k].second);
           },
-          std::to_string(sub.field(histogram)));
+          totals[k].second);
     }
   }
-
-  for (const auto& [name, total] : agg.total_events) {
+  for (const auto& [name, total] : summary.total_events) {
     add_row(
         "events." + name,
         [&](std::size_t i) -> std::string {
           if (!runs[i].events.has_value()) return "-";
-          const auto it = agg.indexes[i].events.find(name);
+          const auto it = summary.event_counts[i].find(name);
           return std::to_string(
-              it == agg.indexes[i].events.end() ? 0 : it->second);
+              it == summary.event_counts[i].end() ? 0 : it->second);
         },
-        std::to_string(total));
+        total);
   }
-  if (agg.any_events) {
+  if (std::any_of(runs.begin(), runs.end(),
+                  [](const RunDoc& run) { return run.events.has_value(); })) {
     add_row(
         "events.dropped",
         [&](std::size_t i) -> std::string {
@@ -216,14 +187,13 @@ Table report_table(const std::vector<RunDoc>& runs) {
                      ? std::to_string(runs[i].events->dropped)
                      : "-";
         },
-        std::to_string(agg.total_dropped));
+        summary.total_dropped);
   }
   return table;
 }
 
-void write_report_json(const std::vector<RunDoc>& runs, std::ostream& out) {
-  const Aggregate agg = aggregate(runs);
-
+void write_report_json(const Summary& summary, std::ostream& out) {
+  const std::vector<RunDoc>& runs = summary.runs;
   JsonWriter json(out);
   json.begin_object();
   json.key("schema").value(kReportSchema);
@@ -234,19 +204,7 @@ void write_report_json(const std::vector<RunDoc>& runs, std::ostream& out) {
     json.key("label").value(run.label);
     if (run.metrics.has_value()) {
       json.key("metrics").begin_object();
-      json.key("counters").begin_array();
-      for (const auto& row : run.metrics->counters) {
-        json.begin_object();
-        json.key("name").value(row.name);
-        json.key("value").value(row.value);
-        json.end_object();
-      }
-      json.end_array();
-      json.key("histograms").begin_array();
-      for (const auto& row : run.metrics->histograms) {
-        write_histogram_summary(json, row);
-      }
-      json.end_array();
+      write_metrics_rows(json, *run.metrics, false);
       json.end_object();
     } else {
       json.key("metrics").null();
@@ -254,7 +212,7 @@ void write_report_json(const std::vector<RunDoc>& runs, std::ostream& out) {
     if (run.events.has_value()) {
       json.key("events").begin_object();
       json.key("dropped").value(run.events->dropped);
-      write_name_values(json, "counts", agg.indexes[i].events);
+      write_name_values(json, "counts", summary.event_counts[i]);
       json.end_object();
     } else {
       json.key("events").null();
@@ -264,21 +222,9 @@ void write_report_json(const std::vector<RunDoc>& runs, std::ostream& out) {
   json.end_array();
 
   json.key("total").begin_object();
-  json.key("counters").begin_array();
-  for (const auto& row : agg.total.counters) {
-    json.begin_object();
-    json.key("name").value(row.name);
-    json.key("value").value(row.value);
-    json.end_object();
-  }
-  json.end_array();
-  json.key("histograms").begin_array();
-  for (const auto& row : agg.total.histograms) {
-    write_histogram_summary(json, row);
-  }
-  json.end_array();
-  write_name_values(json, "events", agg.total_events);
-  json.key("events_dropped").value(agg.total_dropped);
+  write_metrics_rows(json, summary.total, false);
+  write_name_values(json, "events", summary.total_events);
+  json.key("events_dropped").value(summary.total_dropped);
   json.end_object();
   json.end_object();
 }

@@ -11,7 +11,9 @@
 // malformed input is a typed kMalformedDocument naming the file.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -39,13 +41,30 @@ struct RunDoc {
 [[nodiscard]] Expected<RunDoc> read_run_document(std::string label,
                                                  std::string_view text);
 
+/// The aggregation both renderers share: the runs plus exact totals
+/// (metrics merged with MetricsSnapshot's algebra, event counts and
+/// dropped counts summed).
+struct Summary {
+  std::vector<RunDoc> runs;
+  /// Per run: event occurrence counts by name (empty without a journal).
+  std::vector<std::map<std::string, std::uint64_t>> event_counts;
+  obs::MetricsSnapshot total;
+  std::map<std::string, std::uint64_t> total_events;
+  std::uint64_t total_dropped = 0;
+};
+
+/// Aggregates `runs`. A total that would overflow uint64 is a typed
+/// invalid_parameter error (layer "report.summary") naming its row —
+/// never a silently wrapped number.
+[[nodiscard]] Expected<Summary> summarize(std::vector<RunDoc> runs);
+
 /// The summary matrix. Row order: counters (name order), histogram
 /// summary sub-rows (name.count/.sum/.p50/.p90/.p99), event counts
 /// ("events.<name>"), then "events.dropped" when any journal was given.
 /// Cells render "-" where an input has no such row.
-[[nodiscard]] Table report_table(const std::vector<RunDoc>& runs);
+[[nodiscard]] Table report_table(const Summary& summary);
 
 /// The same aggregation as a stable nsrel-report-v1 JSON document.
-void write_report_json(const std::vector<RunDoc>& runs, std::ostream& out);
+void write_report_json(const Summary& summary, std::ostream& out);
 
 }  // namespace nsrel::report

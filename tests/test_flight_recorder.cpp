@@ -295,6 +295,8 @@ TEST(EventsDoc, MalformedJournalsAreTypedErrors) {
            "{\"event\":\"x\",\"domain\":\"lunar\",\"seq\":1}\n",
            "{\"schema\":\"nsrel-events-v1\",\"dropped\":0}\n"
            "{\"event\":\"x\",\"domain\":\"seq\"",       // truncated line
+           "{\"schema\":\"nsrel-events-v1\",\"dropped\":0}\n"
+           "{\"event\":\"x\",\"domain\":\"sim\",\"seq\":1,\"t\":1e400}\n",
        }) {
     const Expected<report::EventsDoc> parsed =
         report::read_events_ndjson(bad);
@@ -327,6 +329,18 @@ TEST(MetricsDoc, MalformedDocumentsAreTypedErrors) {
            "{}",
            "{\"schema\":\"nope\"}",
            "{\"schema\":\"nsrel-metrics-v1\"",  // truncated
+           // A counter that overflows to +inf is no uint64.
+           R"({"schema":"nsrel-metrics-v1","histograms":[],
+               "counters":[{"name":"c","value":1e400}]})",
+           // Bucket counts whose sum wraps uint64 to the empty 0.
+           R"({"schema":"nsrel-metrics-v1","counters":[],"histograms":[
+               {"name":"h","count":0,"sum":0,"min":0,"max":0,"p50":0,
+                "p90":0,"p99":0,"buckets":[[0,9223372036854775808],
+                                           [1,9223372036854775808]]}]})",
+           // A non-empty histogram whose extremes are inverted.
+           R"({"schema":"nsrel-metrics-v1","counters":[],"histograms":[
+               {"name":"h","count":1,"sum":5,"min":9,"max":2,"p50":1,
+                "p90":1,"p99":1,"buckets":[[1,1]]}]})",
        }) {
     const Expected<obs::MetricsSnapshot> parsed =
         report::read_metrics_json(bad);
@@ -378,7 +392,9 @@ TEST(Summary, ReportTableMergesMetricsAndEventsDocuments) {
   ASSERT_TRUE(events_doc.has_value());
   runs.push_back(events_doc.value());
 
-  const std::string table = report::report_table(runs).to_string();
+  const Expected<report::Summary> summary = report::summarize(runs);
+  ASSERT_TRUE(summary.has_value()) << summary.error().message();
+  const std::string table = report::report_table(summary.value()).to_string();
   EXPECT_NE(table.find("test.fr_sum"), std::string::npos);
   EXPECT_NE(table.find("events.cache.hit"), std::string::npos);
   EXPECT_NE(table.find("m.json"), std::string::npos);
@@ -714,6 +730,31 @@ TEST(EventsCli, ReportCommandAggregatesAcrossDocuments) {
 
   const CliResult missing = run_cli({"report", "/no/such/doc.json"});
   EXPECT_NE(missing.exit_code, 0);
+}
+
+TEST(EventsCli, ReportTotalThatOverflowsIsATypedUsageErrorNamingTheRow) {
+  const std::string text =
+      R"({"schema":"nsrel-metrics-v1","histograms":[],)"
+      R"("counters":[{"name":"c","value":18446744073709551615}]})";
+  const Expected<report::RunDoc> doc = report::read_run_document("a", text);
+  ASSERT_TRUE(doc.has_value()) << doc.error().message();
+  const Expected<report::Summary> summary =
+      report::summarize({doc.value(), doc.value()});
+  ASSERT_FALSE(summary.has_value());
+  EXPECT_EQ(summary.error().code, ErrorCode::kInvalidParameter);
+  EXPECT_EQ(summary.error().layer, "report.summary");
+  EXPECT_NE(summary.error().detail.find("'c'"), std::string::npos);
+
+  // `nsrel report` exits with the usage code, as for a malformed input.
+  const std::string path = temp_path("fr_report_overflow.json");
+  {
+    std::ofstream out(path);
+    out << text;
+  }
+  const CliResult cli = run_cli({"report", path.c_str(), path.c_str()});
+  EXPECT_EQ(cli.exit_code, cli::kExitUsage);
+  EXPECT_TRUE(cli.out.empty()) << cli.out;
+  EXPECT_NE(cli.err.find("overflows"), std::string::npos) << cli.err;
 }
 
 TEST(EventsCli, ScenarioOutputKeyWritesJournal) {

@@ -201,6 +201,17 @@ TEST(Malformed, RejectsUnknownAndMissingKeys) {
       replaced(valid_document(), "\"mttdl_hours\"", "\"mttdl_parsecs\""));
 }
 
+TEST(Malformed, RejectsNonFiniteNumbers) {
+  // 1e400 overflows a double to +inf, which the writer can only render
+  // as null: accepting it would yield a document no reader takes back.
+  std::string text = valid_document();
+  const std::string key = "\"mttdl_hours\": ";
+  const std::size_t at = text.find(key) + key.size();
+  text.replace(at, text.find(',', at) - at, "1e400");
+  EXPECT_NE(expect_malformed(text).find("cells[0].mttdl_hours"),
+            std::string::npos);
+}
+
 TEST(Malformed, RejectsBadCellKind) {
   (void)expect_malformed(
       replaced(valid_document(), "\"kind\": \"analytic\"",
