@@ -8,6 +8,8 @@
 // quantifies both regimes.
 #include "bench_common.hpp"
 
+#include <string>
+
 #include "models/internal_raid.hpp"
 #include "models/no_internal_raid.hpp"
 
@@ -36,12 +38,14 @@ int main(int argc, char** argv) {
   report::Table table({"failure-rate stress", "FT", "single (h)",
                        "concurrent (h)", "concurrent/single"});
   for (const double stress : {1.0, 100.0, 1000.0}) {
+    std::string stress_label = "x";  // appended: see sci_interval
+    stress_label += fixed(stress, 0);
     for (const int k : {2, 3}) {
       const double single =
           evaluate_nir(stress, models::RepairPolicy::kSingle, k);
       const double concurrent =
           evaluate_nir(stress, models::RepairPolicy::kConcurrent, k);
-      table.add_row({"x" + fixed(stress, 0), std::to_string(k), sci(single),
+      table.add_row({stress_label, std::to_string(k), sci(single),
                      sci(concurrent), fixed(concurrent / single, 3)});
     }
   }

@@ -1,44 +1,19 @@
-// Microbenchmarks (google-benchmark) for the numeric machinery: LU solves,
-// chain construction, the recursive no-internal-RAID solve as k grows, the
+// Microbenchmarks (google-benchmark) for the numeric machinery: chain
+// construction, the recursive no-internal-RAID solve as k grows, the
 // closed forms — quantifying the cost of exact vs approximate paths — and
 // the parallel Monte-Carlo engine's scaling across worker counts.
 #include <benchmark/benchmark.h>
 #include <cstddef>
-#include <cstdint>
 
 #include "perf_json.hpp"
 
 #include "ctmc/absorbing.hpp"
-#include "linalg/lu.hpp"
 #include "models/no_internal_raid.hpp"
 #include "sim/storage_simulator.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
 using namespace nsrel;
-
-linalg::Matrix random_dd_matrix(std::size_t n, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  linalg::Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) m(i, j) = rng.uniform() - 0.5;
-    m(i, i) += static_cast<double>(n);
-  }
-  return m;
-}
-
-void BM_LuSolve(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = random_dd_matrix(n, 1);
-  const linalg::Vector b(n, 1.0);
-  for (auto _ : state) {
-    const linalg::LuDecomposition lu(a);
-    benchmark::DoNotOptimize(lu.solve(b));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_LuSolve)->RangeMultiplier(2)->Range(8, 256)->Complexity();
 
 models::NoInternalRaidParams nir_params(int k) {
   models::NoInternalRaidParams p;

@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
     const sim::MttdlEstimate estimate = simulator.estimate(trials);
     table.add_row({"no internal RAID, FT" + std::to_string(k), sci(analytic),
                    sci(estimate.mean_hours),
-                   "[" + sci(estimate.ci95_low_hours) + ", " +
-                       sci(estimate.ci95_high_hours) + "]",
+                   sci_interval(estimate.ci95_low_hours,
+                                estimate.ci95_high_hours),
                    estimate.covers(analytic) ? "yes" : "no"});
   }
 
@@ -66,8 +66,8 @@ int main(int argc, char** argv) {
     const sim::MttdlEstimate estimate = simulator.estimate(trials);
     table.add_row({"internal RAID, FT" + std::to_string(t), sci(analytic),
                    sci(estimate.mean_hours),
-                   "[" + sci(estimate.ci95_low_hours) + ", " +
-                       sci(estimate.ci95_high_hours) + "]",
+                   sci_interval(estimate.ci95_low_hours,
+                                estimate.ci95_high_hours),
                    estimate.covers(analytic) ? "yes" : "no"});
   }
 

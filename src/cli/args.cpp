@@ -52,7 +52,7 @@ Args::Args(const std::vector<std::string>& tokens) {
     }
     const std::string key = token.substr(2);
     if (is_bare_flag(key)) {
-      flags_[key] = "1";
+      flags_[key] = std::string("1");  // a temporary: see sci_interval
       continue;
     }
     // A value never starts with "--" (negative numbers take one dash),

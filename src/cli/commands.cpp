@@ -399,6 +399,9 @@ int run_availability(const Args& args, std::ostream& out, std::ostream& err) {
   const core::SystemConfig sys = config_from_args(args);
   const core::Configuration configuration = configuration_from_args(args);
   const double restore_hours = args.get_double("restore-hours", 168.0);
+  if (!(restore_hours > 0.0) || !std::isfinite(restore_hours)) {
+    invalid_flag("restore-hours", "must be finite and > 0");
+  }
   if (const int rc = check_unused(args, err); rc != 0) return rc;
 
   const core::Analyzer analyzer(sys);

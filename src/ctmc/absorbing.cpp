@@ -8,8 +8,6 @@
 #include <vector>
 
 #include "ctmc/elimination.hpp"
-#include "ctmc/lu_backend.hpp"
-#include "linalg/lu.hpp"
 #include "linalg/sparse/sparse_lu.hpp"
 #include "linalg/sparse/sparse_matrix.hpp"
 #include "obs/probe_names.hpp"
@@ -20,44 +18,44 @@
 
 namespace nsrel::ctmc {
 
-namespace {
-
-/// Assembles R = -Q_B in CSR form straight from the transition list —
-/// the sparse twin of Chain::absorption_matrix, same per-cell
-/// accumulation order, without the n x n intermediate.
-linalg::sparse::CsrMatrix sparse_absorption_matrix(const Chain& chain) {
-  const auto transient = chain.transient_states();
-  const std::size_t n = transient.size();
-  std::vector<std::size_t> index(chain.state_count(), chain.state_count());
-  for (std::size_t i = 0; i < n; ++i) index[transient[i]] = i;
-
-  std::vector<linalg::sparse::Triplet> triplets;
-  triplets.reserve(2 * chain.transitions().size());
-  for (const auto& t : chain.transitions()) {
-    const std::size_t from = index[t.from];
-    NSREL_ASSERT(from < n);
-    // Diagonal reflects ALL outflow, including flow into absorbing
-    // states; off-diagonals are negated transient-to-transient rates.
-    triplets.push_back({static_cast<std::uint32_t>(from),
-                        static_cast<std::uint32_t>(from), t.rate});
-    const std::size_t to = index[t.to];
-    if (to < n) {
-      triplets.push_back({static_cast<std::uint32_t>(from),
-                          static_cast<std::uint32_t>(to), -t.rate});
-    }
-  }
-  return linalg::sparse::CsrMatrix::from_triplets(n, n, triplets);
+AbsorbingAnalysis AbsorbingSolver::analyze(const Chain& chain,
+                                           StateId initial) {
+  return try_analyze(chain, initial).value_or_throw();
 }
 
-/// Everything downstream of the factorization, shared verbatim between
-/// the dense and sparse backends (both expose singular/rcond_estimate/
-/// solve/solve_transposed): occupancy, MTTDL, phase-type stddev,
-/// absorption probabilities, and the final health check.
-template <typename Factorization>
-[[nodiscard]] Expected<AbsorbingAnalysis> finish_analysis(const Chain& chain,
-                                            const Factorization& lu,
-                                            const std::vector<double>& initial,
-                                            const NumericalGuards& guards) {
+AbsorbingAnalysis AbsorbingSolver::analyze_distribution(
+    const Chain& chain, const std::vector<double>& initial) {
+  return try_analyze_distribution(chain, initial).value_or_throw();
+}
+
+[[nodiscard]] Expected<AbsorbingAnalysis> AbsorbingSolver::try_analyze(
+    const Chain& chain, StateId initial, const NumericalGuards& guards) {
+  NSREL_EXPECTS(initial < chain.state_count());
+  NSREL_EXPECTS(chain.state(initial).kind == StateKind::kTransient);
+  const auto transient = chain.transient_states();
+  std::vector<double> pi0(transient.size(), 0.0);
+  for (std::size_t i = 0; i < transient.size(); ++i) {
+    if (transient[i] == initial) pi0[i] = 1.0;
+  }
+  return try_analyze_distribution(chain, pi0, guards);
+}
+
+[[nodiscard]] Expected<AbsorbingAnalysis> AbsorbingSolver::try_analyze_distribution(
+    const Chain& chain, const std::vector<double>& initial,
+    const NumericalGuards& guards) {
+  const std::string defect = chain.validate();
+  NSREL_EXPECTS(defect.empty());
+  const auto transient = chain.transient_states();
+  NSREL_EXPECTS(initial.size() == transient.size());
+  NSREL_EXPECTS(approx_equal(
+      std::accumulate(initial.begin(), initial.end(), 0.0), 1.0, 1e-9));
+
+  obs::Span span(obs::probe::kSpanAbsorbingSolve,
+                 obs::probe::kSpanCategoryCtmc);
+  if (span.armed()) {
+    span.arg("states", static_cast<std::uint64_t>(transient.size()));
+  }
+  const linalg::sparse::SparseLu lu(chain.absorption_matrix());
   if (lu.singular()) {
     return Error{ErrorCode::kSingularGenerator, "ctmc.absorbing",
                  "absorption matrix is numerically singular"};
@@ -119,56 +117,6 @@ template <typename Factorization>
                  "result"};
   }
   return result;
-}
-
-}  // namespace
-
-AbsorbingAnalysis AbsorbingSolver::analyze(const Chain& chain,
-                                           StateId initial) {
-  return try_analyze(chain, initial).value_or_throw();
-}
-
-AbsorbingAnalysis AbsorbingSolver::analyze_distribution(
-    const Chain& chain, const std::vector<double>& initial) {
-  return try_analyze_distribution(chain, initial).value_or_throw();
-}
-
-[[nodiscard]] Expected<AbsorbingAnalysis> AbsorbingSolver::try_analyze(
-    const Chain& chain, StateId initial, const NumericalGuards& guards) {
-  NSREL_EXPECTS(initial < chain.state_count());
-  NSREL_EXPECTS(chain.state(initial).kind == StateKind::kTransient);
-  const auto transient = chain.transient_states();
-  std::vector<double> pi0(transient.size(), 0.0);
-  for (std::size_t i = 0; i < transient.size(); ++i) {
-    if (transient[i] == initial) pi0[i] = 1.0;
-  }
-  return try_analyze_distribution(chain, pi0, guards);
-}
-
-[[nodiscard]] Expected<AbsorbingAnalysis> AbsorbingSolver::try_analyze_distribution(
-    const Chain& chain, const std::vector<double>& initial,
-    const NumericalGuards& guards) {
-  const std::string defect = chain.validate();
-  NSREL_EXPECTS(defect.empty());
-  const auto transient = chain.transient_states();
-  NSREL_EXPECTS(initial.size() == transient.size());
-  NSREL_EXPECTS(approx_equal(
-      std::accumulate(initial.begin(), initial.end(), 0.0), 1.0, 1e-9));
-
-  const bool sparse_backend =
-      transient.size() >= detail::kSparseLuMinDimension;
-  obs::Span span(obs::probe::kSpanAbsorbingSolve,
-                 obs::probe::kSpanCategoryCtmc);
-  if (span.armed()) {
-    span.arg("backend", sparse_backend ? "sparse" : "dense");
-    span.arg("states", static_cast<std::uint64_t>(transient.size()));
-  }
-  if (sparse_backend) {
-    const linalg::sparse::SparseLu lu(sparse_absorption_matrix(chain));
-    return finish_analysis(chain, lu, initial, guards);
-  }
-  const linalg::LuDecomposition lu(chain.absorption_matrix());
-  return finish_analysis(chain, lu, initial, guards);
 }
 
 double AbsorbingSolver::mttdl_hours(const Chain& chain, StateId initial) {

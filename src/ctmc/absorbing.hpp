@@ -50,9 +50,8 @@ class AbsorbingSolver {
   /// errors (singular_generator, ill_conditioned below guards.min_rcond,
   /// non_finite_result). Caller-bug preconditions (bad initial state,
   /// size mismatch, invalid chain) still throw ContractViolation.
-  /// The factorization is dense partial-pivot LU below 64 transient
-  /// states and Markowitz sparse LU at or above (ctmc/lu_backend.hpp);
-  /// the two agree to the bound documented in DESIGN.md §11.
+  /// The factorization is Markowitz sparse LU on the CSR absorption
+  /// matrix at every size (linalg/sparse/sparse_lu.hpp).
   [[nodiscard]] static Expected<AbsorbingAnalysis> try_analyze(
       const Chain& chain, StateId initial = 0,
       const NumericalGuards& guards = {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <queue>
 #include <string>
 #include <utility>
@@ -75,38 +76,41 @@ std::vector<StateId> Chain::absorbing_states() const {
   return result;
 }
 
-linalg::Matrix Chain::generator() const {
+linalg::sparse::CsrMatrix Chain::generator() const {
   const std::size_t n = states_.size();
-  linalg::Matrix q(n, n);
+  std::vector<linalg::sparse::Triplet> triplets;
+  triplets.reserve(2 * transitions_.size());
   for (const auto& t : transitions_) {
-    q(t.from, t.to) += t.rate;
-    q(t.from, t.from) -= t.rate;
+    triplets.push_back({static_cast<std::uint32_t>(t.from),
+                        static_cast<std::uint32_t>(t.to), t.rate});
+    triplets.push_back({static_cast<std::uint32_t>(t.from),
+                        static_cast<std::uint32_t>(t.from), -t.rate});
   }
-  return q;
+  return linalg::sparse::CsrMatrix::from_triplets(n, n, triplets);
 }
 
-linalg::Matrix Chain::transient_generator() const {
+linalg::sparse::CsrMatrix Chain::absorption_matrix() const {
   const auto transient = transient_states();
-  // Map full state id -> transient index.
+  const std::size_t n = transient.size();
   std::vector<std::size_t> index(states_.size(), states_.size());
-  for (std::size_t i = 0; i < transient.size(); ++i) index[transient[i]] = i;
+  for (std::size_t i = 0; i < n; ++i) index[transient[i]] = i;
 
-  linalg::Matrix qb(transient.size(), transient.size());
+  std::vector<linalg::sparse::Triplet> triplets;
+  triplets.reserve(2 * transitions_.size());
   for (const auto& t : transitions_) {
     const std::size_t from = index[t.from];
-    if (from == states_.size()) continue;  // from absorbing (cannot happen)
-    qb(from, from) -= t.rate;  // diagonal reflects ALL outflow, including
-                               // flow into absorbing states
+    NSREL_ASSERT(from < n);
+    // Diagonal reflects ALL outflow, including flow into absorbing
+    // states; off-diagonals are negated transient-to-transient rates.
+    triplets.push_back({static_cast<std::uint32_t>(from),
+                        static_cast<std::uint32_t>(from), t.rate});
     const std::size_t to = index[t.to];
-    if (to != states_.size()) qb(from, to) += t.rate;
+    if (to < n) {
+      triplets.push_back({static_cast<std::uint32_t>(from),
+                          static_cast<std::uint32_t>(to), -t.rate});
+    }
   }
-  return qb;
-}
-
-linalg::Matrix Chain::absorption_matrix() const {
-  linalg::Matrix r = transient_generator();
-  r *= -1.0;
-  return r;
+  return linalg::sparse::CsrMatrix::from_triplets(n, n, triplets);
 }
 
 std::vector<double> Chain::rates_into(StateId absorbing) const {

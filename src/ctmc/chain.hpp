@@ -2,16 +2,16 @@
 //
 // A `Chain` is a labeled state space with exponential transition rates,
 // some states marked absorbing (data-loss states in this library's models).
-// The class exposes the infinitesimal generator Q, its restriction Q_B to
-// the transient (non-absorbing) states, and the paper appendix's
-// "absorption matrix" R = -Q_B.
+// The class exposes the infinitesimal generator Q and the paper
+// appendix's "absorption matrix" R = -Q_B, where Q_B is Q restricted to
+// the transient (non-absorbing) states; both in CSR form.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
-#include "linalg/matrix.hpp"
+#include "linalg/sparse/sparse_matrix.hpp"
 
 namespace nsrel::ctmc {
 
@@ -52,20 +52,19 @@ class Chain {
   [[nodiscard]] StateId find_state(const std::string& label) const;
 
   /// Ids of transient states, in insertion order. This ordering defines the
-  /// rows/columns of transient_generator() and absorption_matrix().
+  /// rows/columns of absorption_matrix().
   [[nodiscard]] std::vector<StateId> transient_states() const;
   [[nodiscard]] std::vector<StateId> absorbing_states() const;
 
   /// Full infinitesimal generator Q: off-diagonal entries are transition
-  /// rates, diagonal entries make each row sum to zero.
-  [[nodiscard]] linalg::Matrix generator() const;
+  /// rates, diagonal entries make each row sum to zero (a state with no
+  /// outgoing transition has an empty row).
+  [[nodiscard]] linalg::sparse::CsrMatrix generator() const;
 
-  /// Q_B: Q restricted to transient states.
-  [[nodiscard]] linalg::Matrix transient_generator() const;
-
-  /// R = -Q_B, the appendix's absorption matrix: positive diagonal,
-  /// non-positive off-diagonal entries.
-  [[nodiscard]] linalg::Matrix absorption_matrix() const;
+  /// R = -Q_B, the appendix's absorption matrix: positive diagonal (ALL
+  /// outflow, including flow into absorbing states), non-positive
+  /// off-diagonal entries.
+  [[nodiscard]] linalg::sparse::CsrMatrix absorption_matrix() const;
 
   /// For each transient state (in transient_states() order), the total rate
   /// into the given absorbing state.

@@ -4,19 +4,26 @@
 #include <cstddef>
 #include <vector>
 
-#include "linalg/lu.hpp"
+#include "linalg/sparse/sparse_lu.hpp"
+#include "linalg/sparse/sparse_matrix.hpp"
 #include "util/assert.hpp"
 #include "util/format.hpp"
 
 namespace nsrel::ctmc {
 
-double SensitivitySolver::mtta_derivative(const Chain& chain, StateId initial,
-                                          const TransitionSelector& selector) {
-  return try_mtta_derivative(chain, initial, selector).value_or_throw();
-}
+namespace {
 
-[[nodiscard]] Expected<double> SensitivitySolver::try_mtta_derivative(
-    const Chain& chain, StateId initial, const TransitionSelector& selector,
+struct MttaSensitivity {
+  double derivative = 0.0;  ///< dMTTA/dtheta at theta = 1
+  double mtta = 0.0;        ///< m[init], from the same factorization
+};
+
+/// The derivative and the MTTA it is taken of, from one factorization
+/// of R: m = R^{-1} 1 gives both the MTTA and the derivative's right
+/// factor.
+[[nodiscard]] Expected<MttaSensitivity> try_mtta_sensitivity(
+    const Chain& chain, StateId initial,
+    const SensitivitySolver::TransitionSelector& selector,
     const NumericalGuards& guards) {
   NSREL_EXPECTS(chain.validate().empty());
   NSREL_EXPECTS(initial < chain.state_count());
@@ -28,7 +35,7 @@ double SensitivitySolver::mtta_derivative(const Chain& chain, StateId initial,
   std::vector<std::size_t> index(chain.state_count(), n);
   for (std::size_t i = 0; i < n; ++i) index[transient[i]] = i;
 
-  const linalg::LuDecomposition lu(chain.absorption_matrix());
+  const linalg::sparse::SparseLu lu(chain.absorption_matrix());
   if (lu.singular()) {
     return Error{ErrorCode::kSingularGenerator, "ctmc.sensitivity",
                  "absorption matrix is numerically singular"};
@@ -62,7 +69,23 @@ double SensitivitySolver::mtta_derivative(const Chain& chain, StateId initial,
     return Error{ErrorCode::kNonFiniteResult, "ctmc.sensitivity",
                  "MTTA derivative is non-finite"};
   }
-  return derivative;
+  return MttaSensitivity{derivative, m[index[initial]]};
+}
+
+}  // namespace
+
+double SensitivitySolver::mtta_derivative(const Chain& chain, StateId initial,
+                                          const TransitionSelector& selector) {
+  return try_mtta_derivative(chain, initial, selector).value_or_throw();
+}
+
+[[nodiscard]] Expected<double> SensitivitySolver::try_mtta_derivative(
+    const Chain& chain, StateId initial, const TransitionSelector& selector,
+    const NumericalGuards& guards) {
+  const auto sensitivity =
+      try_mtta_sensitivity(chain, initial, selector, guards);
+  if (!sensitivity.has_value()) return sensitivity.error();
+  return sensitivity.value().derivative;
 }
 
 double SensitivitySolver::mtta_elasticity(const Chain& chain, StateId initial,
@@ -73,26 +96,15 @@ double SensitivitySolver::mtta_elasticity(const Chain& chain, StateId initial,
 [[nodiscard]] Expected<double> SensitivitySolver::try_mtta_elasticity(
     const Chain& chain, StateId initial, const TransitionSelector& selector,
     const NumericalGuards& guards) {
-  const auto derivative =
-      try_mtta_derivative(chain, initial, selector, guards);
-  if (!derivative.has_value()) return derivative.error();
-
-  const linalg::LuDecomposition lu(chain.absorption_matrix());
-  // try_mtta_derivative already screened singular/ill-conditioned.
-  NSREL_ASSERT(!lu.singular());
-  const auto transient = chain.transient_states();
-  std::size_t init_index = transient.size();
-  for (std::size_t i = 0; i < transient.size(); ++i) {
-    if (transient[i] == initial) init_index = i;
-  }
-  NSREL_EXPECTS(init_index < transient.size());
-  const linalg::Vector m = lu.solve(linalg::Vector(transient.size(), 1.0));
-  const double mtta = m[init_index];
+  const auto sensitivity =
+      try_mtta_sensitivity(chain, initial, selector, guards);
+  if (!sensitivity.has_value()) return sensitivity.error();
+  const double mtta = sensitivity.value().mtta;
   if (!std::isfinite(mtta) || mtta == 0.0) {
     return Error{ErrorCode::kNonFiniteResult, "ctmc.sensitivity",
                  "MTTA is non-finite or zero, elasticity undefined"};
   }
-  const double elasticity = derivative.value() / mtta;
+  const double elasticity = sensitivity.value().derivative / mtta;
   if (!std::isfinite(elasticity)) {
     return Error{ErrorCode::kNonFiniteResult, "ctmc.sensitivity",
                  "MTTA elasticity is non-finite"};

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ctmc/lu_backend.hpp"
-#include "linalg/lu.hpp"
 #include "linalg/sparse/sparse_lu.hpp"
 #include "linalg/sparse/sparse_matrix.hpp"
 #include "obs/probe_names.hpp"
@@ -18,8 +16,8 @@ namespace nsrel::ctmc {
 namespace {
 
 /// Q^T with the last row replaced by the normalization equation, in CSR
-/// form straight from the transition list (no n x n intermediate).
-linalg::sparse::CsrMatrix sparse_normalized_transpose(const Chain& chain) {
+/// form straight from the transition list.
+linalg::sparse::CsrMatrix normalized_transpose(const Chain& chain) {
   const std::size_t n = chain.state_count();
   std::vector<linalg::sparse::Triplet> triplets;
   triplets.reserve(2 * chain.transitions().size() + n);
@@ -56,36 +54,19 @@ std::vector<double> StationarySolver::distribution(const Chain& chain) {
 
   // pi Q = 0 with sum(pi) = 1: transpose to Q^T pi^T = 0 and replace the
   // last equation by the normalization row.
-  const bool sparse_backend = n >= detail::kSparseLuMinDimension;
   obs::Span span(obs::probe::kSpanStationarySolve,
                  obs::probe::kSpanCategoryCtmc);
   if (span.armed()) {
-    span.arg("backend", sparse_backend ? "sparse" : "dense");
     span.arg("states", static_cast<std::uint64_t>(n));
   }
-  linalg::Vector solution;
-  if (sparse_backend) {
-    const linalg::sparse::SparseLu lu(sparse_normalized_transpose(chain));
-    if (lu.singular()) {  // singular iff chain is reducible
-      return Error{ErrorCode::kSingularGenerator, "ctmc.stationary",
-                   "generator is singular (chain is reducible)"};
-    }
-    linalg::Vector b(n, 0.0);
-    b[n - 1] = 1.0;
-    solution = lu.solve(b);
-  } else {
-    linalg::Matrix a = chain.generator().transpose();
-    for (std::size_t j = 0; j < n; ++j) a(n - 1, j) = 1.0;
-    linalg::Vector b(n, 0.0);
-    b[n - 1] = 1.0;
-
-    const auto dense = linalg::solve(a, b);
-    if (!dense.has_value()) {  // singular iff chain is reducible
-      return Error{ErrorCode::kSingularGenerator, "ctmc.stationary",
-                   "generator is singular (chain is reducible)"};
-    }
-    solution = *dense;
+  const linalg::sparse::SparseLu lu(normalized_transpose(chain));
+  if (lu.singular()) {  // singular iff chain is reducible
+    return Error{ErrorCode::kSingularGenerator, "ctmc.stationary",
+                 "generator is singular (chain is reducible)"};
   }
+  linalg::Vector b(n, 0.0);
+  b[n - 1] = 1.0;
+  const linalg::Vector solution = lu.solve(b);
   for (const double p : solution) {
     if (!std::isfinite(p) || p < -1e-12) {
       return Error{ErrorCode::kNonFiniteResult, "ctmc.stationary",

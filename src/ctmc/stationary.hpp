@@ -23,9 +23,8 @@ class StationarySolver {
 
   /// Non-throwing form: singular generator (reducible chain) and
   /// non-finite or negative probabilities come back as typed errors.
-  /// The factorization is dense partial-pivot LU below 64 states and
-  /// Markowitz sparse LU at or above (ctmc/lu_backend.hpp; agreement
-  /// bound in DESIGN.md §11).
+  /// The factorization is Markowitz sparse LU at every size
+  /// (linalg/sparse/sparse_lu.hpp).
   [[nodiscard]] static Expected<std::vector<double>> try_distribution(
       const Chain& chain);
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -13,18 +13,24 @@ namespace nsrel::ctmc {
 
 TransientSolver::TransientSolver(const Chain& chain) : chain_(chain) {
   NSREL_EXPECTS(chain.state_count() > 0);
-  const linalg::Matrix q = chain.generator();
+  const linalg::sparse::CsrMatrix q = chain.generator();
   const std::size_t n = q.rows();
   for (std::size_t i = 0; i < n; ++i) {
-    lambda_ = std::max(lambda_, -q(i, i));
+    lambda_ = std::max(lambda_, -q.at(i, i));
   }
   if (lambda_ == 0.0) lambda_ = 1.0;  // all-absorbing chain: P = I
-  p_ = linalg::Matrix::identity(n);
+  // P = I + Q / Lambda: each row's identity triplet comes first, so the
+  // diagonal accumulates as 1.0 + q_ii / Lambda.
+  std::vector<linalg::sparse::Triplet> triplets;
+  triplets.reserve(q.nnz() + n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      p_(i, j) += q(i, j) / lambda_;
+    const auto row = static_cast<std::uint32_t>(i);
+    triplets.push_back({row, row, 1.0});
+    for (std::size_t k = q.row_ptr()[i]; k < q.row_ptr()[i + 1]; ++k) {
+      triplets.push_back({row, q.col_index()[k], q.values()[k] / lambda_});
     }
   }
+  p_ = linalg::sparse::CsrMatrix::from_triplets(n, n, triplets);
 }
 
 std::vector<double> TransientSolver::distribution_at(double t_hours,
@@ -60,14 +66,8 @@ std::vector<double> TransientSolver::distribution_at(double t_hours,
   for (std::size_t k = 0; k <= max_terms; ++k) {
     if (k > 0) {
       log_weight += std::log(a / static_cast<double>(k));
-      // v <- v * P (row vector times matrix).
-      std::vector<double> next(n, 0.0);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double vi = v[i];
-        if (vi == 0.0) continue;
-        for (std::size_t j = 0; j < n; ++j) next[j] += vi * p_(i, j);
-      }
-      v = std::move(next);
+      // v <- v * P (row vector times matrix), rows in ascending order.
+      v = p_.multiply_transposed(v);
     }
     const double weight = std::exp(log_weight);
     if (weight > 0.0) {
@@ -98,10 +98,7 @@ std::vector<double> TransientSolver::distribution_at(double t_hours,
 
 double TransientSolver::survival(double t_hours, StateId initial,
                                  double tol) const {
-  const std::vector<double> dist = distribution_at(t_hours, initial, tol);
-  double transient_mass = 0.0;
-  for (const StateId s : chain_.transient_states()) transient_mass += dist[s];
-  return transient_mass;
+  return try_survival(t_hours, initial, tol).value_or_throw();
 }
 
 std::vector<double> TransientSolver::survival_curve(

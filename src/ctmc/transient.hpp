@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "ctmc/chain.hpp"
+#include "linalg/sparse/sparse_matrix.hpp"
 #include "util/error.hpp"
 
 namespace nsrel::ctmc {
@@ -63,7 +64,7 @@ class TransientSolver {
 
  private:
   const Chain& chain_;
-  linalg::Matrix p_;  // uniformized DTMC kernel
+  linalg::sparse::CsrMatrix p_;  // uniformized DTMC kernel
   double lambda_ = 0.0;
 };
 

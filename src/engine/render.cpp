@@ -121,8 +121,8 @@ report::Table sim_sweep_table(const ResultSet& results) {
       }
       const sim::MttdlEstimate& estimate = results.sim_at(p, c).estimate;
       row.push_back(sci(estimate.mean_hours));
-      row.push_back("[" + sci(estimate.ci95_low_hours) + ", " +
-                    sci(estimate.ci95_high_hours) + "]");
+      row.push_back(
+          sci_interval(estimate.ci95_low_hours, estimate.ci95_high_hours));
     }
     table.add_row(std::move(row));
   }

@@ -129,15 +129,6 @@ SparseLu::SparseLu(const CsrMatrix& a) {
   }
 }
 
-std::size_t SparseLu::factor_nnz() const {
-  if (singular_) return 0;
-  std::size_t count = n_;  // pivots
-  for (std::size_t s = 0; s < n_; ++s) {
-    count += l_entries_[s].size() + u_entries_[s].size();
-  }
-  return count;
-}
-
 Vector SparseLu::solve(const Vector& b) const {
   NSREL_EXPECTS(!singular_);
   NSREL_EXPECTS(b.size() == n_);
@@ -193,9 +184,9 @@ double SparseLu::rcond_estimate() const {
   if (singular_) return 0.0;
   const std::size_t n = n_;
 
-  // Hager's 1-norm estimator, kept line-for-line parallel to
-  // LuDecomposition::rcond_estimate so both backends report comparable
-  // conditioning for the same matrix.
+  // Hager's 1-norm estimator: start from the uniform vector, step to
+  // the unit vector of the largest |A^{-T} sign(A^{-1} x)| entry, and
+  // stop when that no longer beats z^T x or after five rounds.
   Vector x(n, 1.0 / static_cast<double>(n));
   double inv_norm = 0.0;
   std::size_t previous_pick = n;  // sentinel: no unit vector picked yet
@@ -213,7 +204,9 @@ double SparseLu::rcond_estimate() const {
     for (std::size_t i = 1; i < n; ++i) {
       if (std::abs(z[i]) > std::abs(z[pick])) pick = i;
     }
-    if (std::abs(z[pick]) <= dot(z, x) || pick == previous_pick) break;
+    double z_dot_x = 0.0;
+    for (std::size_t i = 0; i < n; ++i) z_dot_x += z[i] * x[i];
+    if (std::abs(z[pick]) <= z_dot_x || pick == previous_pick) break;
     x.assign(n, 0.0);
     x[pick] = 1.0;
     previous_pick = pick;

@@ -1,20 +1,20 @@
-// Sparse LU factorization with Markowitz pivoting.
+// Sparse LU factorization with Markowitz pivoting — the one
+// factorization behind the absorbing, stationary and sensitivity solves.
 //
-// The dense LuDecomposition picks pivots for numerical stability alone;
-// on a sparse matrix that fills the factors in and the O(n^3) cost
-// returns through the back door. Markowitz's rule picks, at each step,
-// an acceptably-large pivot whose row and column are as empty as
-// possible — the classic fill-minimizing heuristic for asymmetric
-// sparse Gaussian elimination. On the CTMC generators the models
-// produce (a handful of nonzeros per row) the factors stay near-linear
-// in size and solves run in O(nnz).
+// Pivoting for numerical stability alone (partial pivoting) fills the
+// factors of a sparse matrix in, and the O(n^3) cost returns through the
+// back door. Markowitz's rule picks, at each step, an acceptably-large
+// pivot whose row and column are as empty as possible — the classic
+// fill-minimizing heuristic for asymmetric sparse Gaussian elimination.
+// On the CTMC generators the models produce (a handful of nonzeros per
+// row) the factors stay near-linear in size and solves run in O(nnz).
 //
 // Pivot choice is fully deterministic (ordered containers only, ties
 // broken toward the lowest index), so factorizations are reproducible
-// across runs and thread counts. Because the pivot order differs from
-// the dense code's partial pivoting, results agree with dense LU to the
-// bound documented in DESIGN.md §11 — not bit-for-bit (the GTH
-// elimination path is the bit-identical one; see ctmc/elimination).
+// across runs and thread counts. The test suite's dense partial-pivot
+// LU pivots differently, so the two agree to the bound documented in
+// DESIGN.md §11, not bit for bit (the GTH elimination path is the
+// bit-identical one; see ctmc/elimination).
 #pragma once
 
 #include <cstddef>
@@ -26,8 +26,7 @@
 namespace nsrel::linalg::sparse {
 
 /// Factorization P A Q = L U in pivot-step coordinates. Check
-/// `singular()` before calling the solves, exactly like the dense
-/// LuDecomposition.
+/// `singular()` before calling the solves.
 class SparseLu {
  public:
   explicit SparseLu(const CsrMatrix& a);
@@ -36,19 +35,18 @@ class SparseLu {
 
   [[nodiscard]] std::size_t dimension() const { return n_; }
 
-  /// Stored entries in L and U combined (pivots included) — the
-  /// fill-in measure the perf ablation and probes report.
-  [[nodiscard]] std::size_t factor_nnz() const;
-
   /// Solves A x = b. Requires !singular() and b.size() == dimension().
   [[nodiscard]] Vector solve(const Vector& b) const;
 
   /// Solves A^T x = b. Requires !singular() and b.size() == dimension().
   [[nodiscard]] Vector solve_transposed(const Vector& b) const;
 
-  /// Reciprocal 1-norm condition estimate via Hager's method — the
-  /// same estimator (same start vector, iteration cap, and tie-breaks)
-  /// as LuDecomposition::rcond_estimate, riding on the sparse solves.
+  /// Reciprocal 1-norm condition estimate 1 / (||A||_1 * est ||A^{-1}||_1),
+  /// with ||A^{-1}||_1 estimated by Hager's method (a handful of solves
+  /// on the existing factors). The estimate of ||A^{-1}||_1 is a lower
+  /// bound, so the returned rcond is an upper bound on the true value:
+  /// when it is already below a threshold, the true conditioning is at
+  /// least that bad.
   [[nodiscard]] double rcond_estimate() const;
 
  private:

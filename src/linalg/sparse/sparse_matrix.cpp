@@ -62,33 +62,6 @@ CsrMatrix CsrMatrix::from_triplets(std::size_t rows, std::size_t cols,
   return m;
 }
 
-CsrMatrix CsrMatrix::from_dense(const Matrix& dense) {
-  CsrMatrix m;
-  m.rows_ = dense.rows();
-  m.cols_ = dense.cols();
-  m.row_ptr_.assign(m.rows_ + 1, 0);
-  for (std::size_t r = 0; r < m.rows_; ++r) {
-    for (std::size_t c = 0; c < m.cols_; ++c) {
-      const double v = dense(r, c);
-      if (v == 0.0) continue;
-      m.col_index_.push_back(static_cast<std::uint32_t>(c));
-      m.values_.push_back(v);
-    }
-    m.row_ptr_[r + 1] = m.values_.size();
-  }
-  return m;
-}
-
-Matrix CsrMatrix::to_dense() const {
-  Matrix dense(rows_, cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i) {
-      dense(r, col_index_[i]) = values_[i];
-    }
-  }
-  return dense;
-}
-
 double CsrMatrix::at(std::size_t row, std::size_t col) const {
   NSREL_EXPECTS(row < rows_ && col < cols_);
   const auto begin =
@@ -99,19 +72,6 @@ double CsrMatrix::at(std::size_t row, std::size_t col) const {
       std::lower_bound(begin, end, static_cast<std::uint32_t>(col));
   if (it == end || *it != col) return 0.0;
   return values_[static_cast<std::size_t>(it - col_index_.begin())];
-}
-
-Vector CsrMatrix::multiply(const Vector& x) const {
-  NSREL_EXPECTS(x.size() == cols_);
-  Vector y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double sum = 0.0;
-    for (std::size_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i) {
-      sum += values_[i] * x[col_index_[i]];
-    }
-    y[r] = sum;
-  }
-  return y;
 }
 
 Vector CsrMatrix::multiply_transposed(const Vector& x) const {
@@ -127,26 +87,6 @@ Vector CsrMatrix::multiply_transposed(const Vector& x) const {
   return y;
 }
 
-CsrMatrix CsrMatrix::transpose() const {
-  CsrMatrix t;
-  t.rows_ = cols_;
-  t.cols_ = rows_;
-  t.row_ptr_.assign(cols_ + 1, 0);
-  for (const std::uint32_t c : col_index_) ++t.row_ptr_[c + 1];
-  for (std::size_t c = 0; c < cols_; ++c) t.row_ptr_[c + 1] += t.row_ptr_[c];
-  t.col_index_.resize(nnz());
-  t.values_.resize(nnz());
-  std::vector<std::size_t> cursor(t.row_ptr_.begin(), t.row_ptr_.end() - 1);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i) {
-      const std::size_t slot = cursor[col_index_[i]]++;
-      t.col_index_[slot] = static_cast<std::uint32_t>(r);
-      t.values_[slot] = values_[i];
-    }
-  }
-  return t;
-}
-
 double CsrMatrix::one_norm() const {
   std::vector<double> column_sum(cols_, 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {
@@ -156,18 +96,6 @@ double CsrMatrix::one_norm() const {
   }
   double max = 0.0;
   for (const double s : column_sum) max = std::max(max, s);
-  return max;
-}
-
-double CsrMatrix::inf_norm() const {
-  double max = 0.0;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double sum = 0.0;
-    for (std::size_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i) {
-      sum += std::abs(values_[i]);
-    }
-    max = std::max(max, sum);
-  }
   return max;
 }
 

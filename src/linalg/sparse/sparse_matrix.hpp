@@ -1,19 +1,23 @@
-// Sparse matrix substrate for the large structured CTMC generators.
+// The matrix representation of every CTMC solve in the library.
 //
 // The appendix recursion's absorption matrix at fault tolerance k has
 // 2^(k+1)-1 rows but only ~3 nonzeros per row (a binary tree of failure
-// edges plus one repair edge per state), so past k ~ 5 the dense Matrix
-// wastes quadratic memory and the O(n^3) factorizations dominate every
-// sweep. Triplets are the mutable assembly form (duplicates accumulate,
-// like Chain::add_transition); CsrMatrix is the immutable compressed
-// sparse row form the solvers consume.
+// edges plus one repair edge per state), so an n x n array would waste
+// quadratic memory (128 MB at k = 11) on entries that are all zero.
+// Triplets are the mutable assembly form (duplicates accumulate, like
+// Chain::add_transition); CsrMatrix is the immutable compressed sparse
+// row form the solvers consume.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "linalg/matrix.hpp"
+namespace nsrel::linalg {
+
+using Vector = std::vector<double>;
+
+}  // namespace nsrel::linalg
 
 namespace nsrel::linalg::sparse {
 
@@ -38,12 +42,6 @@ class CsrMatrix {
       std::size_t rows, std::size_t cols,
       const std::vector<Triplet>& triplets);
 
-  /// Compresses a dense matrix (entries with value exactly 0 dropped).
-  [[nodiscard]] static CsrMatrix from_dense(const Matrix& dense);
-
-  /// Expands back to dense — diff-harness and test plumbing only.
-  [[nodiscard]] Matrix to_dense() const;
-
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
   [[nodiscard]] std::size_t nnz() const { return values_.size(); }
@@ -62,19 +60,14 @@ class CsrMatrix {
   /// Entry lookup by binary search within the row; 0.0 when absent.
   [[nodiscard]] double at(std::size_t row, std::size_t col) const;
 
-  /// y = A x. Requires x.size() == cols().
-  [[nodiscard]] Vector multiply(const Vector& x) const;
-
-  /// y = A^T x. Requires x.size() == rows().
+  /// y = A^T x (the row-vector product x^T A). Requires x.size() ==
+  /// rows(). Rows with x_r == 0 are skipped and the rest are visited in
+  /// ascending order, so each y_j sums its terms in the order a dense
+  /// loop over all of row r would, minus that loop's exact +0.0 terms.
   [[nodiscard]] Vector multiply_transposed(const Vector& x) const;
-
-  [[nodiscard]] CsrMatrix transpose() const;
 
   /// Column-sum norm (induced 1-norm) — the Hager estimator's norm.
   [[nodiscard]] double one_norm() const;
-
-  /// Row-sum norm (induced infinity norm).
-  [[nodiscard]] double inf_norm() const;
 
  private:
   std::size_t rows_ = 0;

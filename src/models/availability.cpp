@@ -50,7 +50,12 @@ AvailabilityResult AvailabilityModel::analyze(
   result.availability = 1.0 - lost_fraction;
   result.downtime_minutes_per_year =
       lost_fraction * kHoursPerYear * 60.0;
-  result.degraded_fraction = 1.0 - lost_fraction - pi[healthy];
+  // Summed over the degraded states, not taken as 1 - lost - healthy:
+  // that difference cancels to a rounding residue, possibly negative,
+  // when nearly all time is spent lost.
+  for (const ctmc::StateId s : absorbing_chain.transient_states()) {
+    if (s != healthy) result.degraded_fraction += pi[s];
+  }
   result.mttdl = Hours(
       ctmc::AbsorbingSolver::mttdl_hours(absorbing_chain, healthy));
   return result;

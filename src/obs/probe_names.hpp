@@ -78,9 +78,9 @@ inline constexpr const char* kSpanCategoryReport = "report";
 inline constexpr const char* kSpanCategoryRepair = "repair";
 
 inline constexpr const char* kSpanSolve = "solve";
-/// CTMC solver spans, each tagged with a "states" arg. The two LU spans
-/// also carry a "backend" arg (dense/sparse) showing which factorization
-/// the dimension selected; elimination has a single backend.
+/// CTMC solver spans, each tagged with a "states" arg. Each solve has a
+/// single backend (sparse GTH elimination, sparse LU), so no span names
+/// one.
 inline constexpr const char* kSpanEliminationSolve = "elimination_solve";
 inline constexpr const char* kSpanAbsorbingSolve = "absorbing_solve";
 inline constexpr const char* kSpanStationarySolve = "stationary_solve";

@@ -24,13 +24,28 @@ std::string sci(double v, int significant_digits) {
   return printf_to_string("%.*e", v, significant_digits - 1);
 }
 
+std::string sci_interval(double low, double high) {
+  // Appended piece by piece: g++ 12 misreports -Wrestrict on
+  // `"literal" + std::string&&` in optimized builds.
+  std::string interval = "[";
+  interval += sci(low);
+  interval += ", ";
+  interval += sci(high);
+  interval += "]";
+  return interval;
+}
+
 std::string fixed(double v, int decimals) {
   NSREL_EXPECTS(decimals >= 0);
   return printf_to_string("%.*f", v, decimals);
 }
 
 std::string human_bytes(double bytes) {
-  if (bytes < 0) return "-" + human_bytes(-bytes);
+  if (bytes < 0) {
+    std::string negative = "-";  // appended, as in sci_interval
+    negative += human_bytes(-bytes);
+    return negative;
+  }
   if (bytes < 1024.0 * 1024.0) {
     if (bytes >= 1024.0) return fixed(bytes / 1024.0, 0) + " KiB";
     return fixed(bytes, 0) + " B";

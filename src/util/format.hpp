@@ -13,6 +13,9 @@ namespace nsrel {
 /// "1.23e-05" style scientific with the given significant digits (>= 1).
 [[nodiscard]] std::string sci(double v, int significant_digits = 3);
 
+/// A confidence interval in sci(): "[1.23e+05, 4.56e+05]".
+[[nodiscard]] std::string sci_interval(double low, double high);
+
 /// Fixed-point with the given decimals.
 [[nodiscard]] std::string fixed(double v, int decimals = 2);
 

@@ -11,6 +11,18 @@
 
 namespace nsrel::diffharness {
 
+namespace {
+
+/// "<prefix><i>", built by append: g++ 12's -Wrestrict misfires on
+/// `"literal" + std::string&&` in optimized builds.
+std::string numbered(const char* prefix, std::size_t i) {
+  std::string label = prefix;
+  label += std::to_string(i);
+  return label;
+}
+
+}  // namespace
+
 double random_rate(Xoshiro256& rng) {
   // 10^u for u uniform in [-3, 3).
   return std::pow(10.0, -3.0 + 6.0 * rng.uniform());
@@ -20,7 +32,7 @@ ctmc::Chain birth_death(Xoshiro256& rng, std::size_t transient) {
   NSREL_EXPECTS(transient >= 1);
   ctmc::Chain chain;
   for (std::size_t i = 0; i < transient; ++i) {
-    chain.add_state("d" + std::to_string(i), ctmc::StateKind::kTransient);
+    chain.add_state(numbered("d", i), ctmc::StateKind::kTransient);
   }
   const ctmc::StateId loss =
       chain.add_state("loss", ctmc::StateKind::kAbsorbing);
@@ -40,12 +52,12 @@ ctmc::Chain random_absorbing(Xoshiro256& rng, std::size_t transient,
   NSREL_EXPECTS(absorbing >= 1);
   ctmc::Chain chain;
   for (std::size_t i = 0; i < transient; ++i) {
-    chain.add_state("t" + std::to_string(i), ctmc::StateKind::kTransient);
+    chain.add_state(numbered("t", i), ctmc::StateKind::kTransient);
   }
   std::vector<ctmc::StateId> sinks;
   for (std::size_t a = 0; a < absorbing; ++a) {
     sinks.push_back(
-        chain.add_state("a" + std::to_string(a), ctmc::StateKind::kAbsorbing));
+        chain.add_state(numbered("a", a), ctmc::StateKind::kAbsorbing));
   }
   // Backbone: every transient state walks forward into the first sink,
   // so validate()'s reachability check passes by construction.
@@ -74,7 +86,7 @@ ctmc::Chain random_irreducible(Xoshiro256& rng, std::size_t n,
   NSREL_EXPECTS(n >= 2);
   ctmc::Chain chain;
   for (std::size_t i = 0; i < n; ++i) {
-    chain.add_state("s" + std::to_string(i), ctmc::StateKind::kTransient);
+    chain.add_state(numbered("s", i), ctmc::StateKind::kTransient);
   }
   for (std::size_t i = 0; i < n; ++i) {
     chain.add_transition(i, (i + 1) % n, random_rate(rng));
@@ -114,12 +126,10 @@ DegenerateSystem trapped_system(std::size_t healthy, std::size_t trapped) {
   NSREL_EXPECTS(trapped >= 2);
   const std::size_t n = healthy + trapped;
   DegenerateSystem system;
-  system.dense = linalg::Matrix(n, n);
   system.absorption_rates.assign(n, 0.0);
   std::vector<linalg::sparse::Triplet> triplets;
 
   const auto entry = [&](std::size_t r, std::size_t c, double value) {
-    system.dense(r, c) += value;
     triplets.push_back({static_cast<std::uint32_t>(r),
                         static_cast<std::uint32_t>(c), value});
   };
@@ -145,7 +155,7 @@ DegenerateSystem trapped_system(std::size_t healthy, std::size_t trapped) {
 ctmc::Chain disconnected_cycles() {
   ctmc::Chain chain;
   for (int i = 0; i < 4; ++i) {
-    chain.add_state("c" + std::to_string(i), ctmc::StateKind::kTransient);
+    chain.add_state(numbered("c", i), ctmc::StateKind::kTransient);
   }
   chain.add_transition(0, 1, 1.0);
   chain.add_transition(1, 0, 1.0);

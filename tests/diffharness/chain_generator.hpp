@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "ctmc/chain.hpp"
-#include "linalg/matrix.hpp"
 #include "linalg/sparse/sparse_matrix.hpp"
 #include "models/no_internal_raid.hpp"
 #include "util/rng.hpp"
@@ -50,7 +49,7 @@ namespace nsrel::diffharness {
 [[nodiscard]] models::NoInternalRaidParams random_recursive_params(
     Xoshiro256& rng, int fault_tolerance);
 
-/// A degenerate absorbing system in matching dense and CSR form: the
+/// A degenerate absorbing system R in CSR form: the
 /// last `trapped` states (>= 2) form a directed cycle with positive exit
 /// rates but NO path to absorption, so GTH elimination reaches an
 /// exactly-zero pivot in BOTH the library and the oracle. With healthy == 0 the trap
@@ -58,7 +57,6 @@ namespace nsrel::diffharness {
 /// initial absorption probability instead. All rates are small integers,
 /// so every elimination step is exact and the zero is bit-exact.
 struct DegenerateSystem {
-  linalg::Matrix dense;
   linalg::sparse::CsrMatrix sparse;
   std::vector<double> absorption_rates;
 };
@@ -67,8 +65,8 @@ struct DegenerateSystem {
 
 /// Reducible "irreducible-looking" chain for the stationary solver: two
 /// disconnected 2-cycles with rate-1 transitions. The normalized
-/// transpose is exactly rank-deficient (integer arithmetic), so both LU
-/// factorizations must report it singular.
+/// transpose is exactly rank-deficient (integer arithmetic), so the LU
+/// oracle must report it singular and the library a typed error.
 [[nodiscard]] ctmc::Chain disconnected_cycles();
 
 }  // namespace nsrel::diffharness

@@ -1,5 +1,6 @@
 #include "diffharness/dense_gth.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <span>
@@ -189,6 +190,71 @@ linalg::Matrix absorption_matrix_recursive(
   const std::vector<double> h = combinat::h_set(model.h_params());
   return build_absorption(p.fault_tolerance,
                           static_cast<double>(p.node_set_size), p, h);
+}
+
+linalg::Matrix dense_generator(const ctmc::Chain& chain) {
+  linalg::Matrix q(chain.state_count(), chain.state_count());
+  for (const auto& t : chain.transitions()) {
+    q(t.from, t.to) += t.rate;
+    q(t.from, t.from) -= t.rate;
+  }
+  return q;
+}
+
+linalg::Matrix dense_absorption_matrix(const ctmc::Chain& chain) {
+  const auto transient = chain.transient_states();
+  std::vector<std::size_t> index(chain.state_count(), transient.size());
+  for (std::size_t i = 0; i < transient.size(); ++i) index[transient[i]] = i;
+  linalg::Matrix r(transient.size(), transient.size());
+  for (const auto& t : chain.transitions()) {
+    const std::size_t from = index[t.from];
+    r(from, from) += t.rate;
+    if (index[t.to] < transient.size()) r(from, index[t.to]) -= t.rate;
+  }
+  return r;
+}
+
+std::vector<double> dense_transient_distribution(const ctmc::Chain& chain,
+                                                 double t_hours,
+                                                 ctmc::StateId initial,
+                                                 double tol) {
+  NSREL_EXPECTS(t_hours >= 0.0 && tol > 0.0);
+  const linalg::Matrix q = dense_generator(chain);
+  const std::size_t n = q.rows();
+  NSREL_EXPECTS(initial < n);
+  double lambda = 0.0;
+  for (std::size_t i = 0; i < n; ++i) lambda = std::max(lambda, -q(i, i));
+  if (lambda == 0.0) lambda = 1.0;
+  // P^T, so that v <- v P is the plain product P^T v: each entry sums
+  // its terms over rows of P in ascending order.
+  linalg::Matrix pt = linalg::Matrix::identity(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) pt(j, i) += q(i, j) / lambda;
+  }
+
+  std::vector<double> v(n, 0.0);
+  v[initial] = 1.0;
+  if (t_hours == 0.0) return v;
+  const double a = lambda * t_hours;
+  NSREL_EXPECTS(std::isfinite(a));
+  std::vector<double> result(n, 0.0);
+  double log_weight = -a;
+  double accumulated = 0.0;
+  const auto max_terms =
+      static_cast<std::size_t>(a + 12.0 * std::sqrt(a) + 64.0);
+  for (std::size_t k = 0; k <= max_terms; ++k) {
+    if (k > 0) {
+      log_weight += std::log(a / static_cast<double>(k));
+      v = pt.multiply(v);
+    }
+    const double weight = std::exp(log_weight);
+    if (weight > 0.0) {
+      for (std::size_t i = 0; i < n; ++i) result[i] += weight * v[i];
+      accumulated += weight;
+      if (1.0 - accumulated < tol) break;
+    }
+  }
+  return result;
 }
 
 }  // namespace nsrel::diffharness

@@ -6,16 +6,16 @@
 // non-negative quantities GTH maintains those are no-ops, so the two must
 // agree to the bit (tests/test_diffharness.cpp).
 //
-// Also home to the appendix's dense block recursion for R^(k), the
-// reference the library's CSR assembly is compared against entry for
-// entry.
+// Also home to the dense references for the library's other CSR code:
+// Q and R assembled from a chain, the appendix's block recursion for
+// R^(k), and uniformization on an n x n kernel P = I + Q/Lambda.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "ctmc/chain.hpp"
-#include "linalg/matrix.hpp"
+#include "diffharness/matrix.hpp"
 #include "models/no_internal_raid.hpp"
 #include "util/error.hpp"
 
@@ -38,5 +38,19 @@ namespace nsrel::diffharness {
 /// Precondition: single (LIFO) repair.
 [[nodiscard]] linalg::Matrix absorption_matrix_recursive(
     const models::NoInternalRaidModel& model);
+
+/// Q from the chain's transitions, accumulated in transition order.
+[[nodiscard]] linalg::Matrix dense_generator(const ctmc::Chain& chain);
+
+/// R = -Q_B from the chain's transitions, indexed like
+/// Chain::transient_states(), accumulated in transition order.
+[[nodiscard]] linalg::Matrix dense_absorption_matrix(const ctmc::Chain& chain);
+
+/// pi(t) over all states from `initial`, by the same Poisson recurrence
+/// and stopping rule as TransientSolver::distribution_at on a dense
+/// kernel. Preconditions: t_hours >= 0 with Lambda * t finite, tol > 0.
+[[nodiscard]] std::vector<double> dense_transient_distribution(
+    const ctmc::Chain& chain, double t_hours, ctmc::StateId initial,
+    double tol = 1e-12);
 
 }  // namespace nsrel::diffharness

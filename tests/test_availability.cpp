@@ -71,6 +71,20 @@ TEST(Availability, DegradedFractionMatchesRateRatio) {
               0.01 * 2.0 * lambda / mu);
 }
 
+TEST(Availability, DegradedFractionStaysNonNegativeWhenNearlyAlwaysLost) {
+  // A restore far longer than the MTTDL leaves the system lost nearly
+  // all the time, so the degraded share is below 1e-290. Taken as
+  // 1 - lost - healthy instead of summed, it cancels to a rounding
+  // residue that can come out negative.
+  const core::Analyzer analyzer(core::SystemConfig::baseline());
+  const auto built =
+      analyzer.build_chain({core::InternalScheme::kRaid5, 2});
+  const AvailabilityResult result =
+      AvailabilityModel::analyze(built.chain, built.healthy, Hours(1e300));
+  EXPECT_GE(result.degraded_fraction, 0.0);
+  EXPECT_LT(result.degraded_fraction, 1e-12);
+}
+
 TEST(Availability, BaselineNirFt2FiveNines) {
   // At the paper's baseline, FT2-NIR has MTTDL ~ 1.4e7 h; even a week-long
   // restore from backup leaves many nines of availability.

@@ -131,6 +131,9 @@ TEST(Dispatch, OutOfDomainFlagsAreTypedUsageErrorsNamingTheFlag) {
       {{"simulate", "--trials", "1"}, "--trials"},
       {{"simulate", "--param", "n", "--steps", "1"}, "--steps"},
       {{"analyze", "--node-mttf", "abc"}, "--node-mttf"},
+      {{"availability", "--restore-hours", "-1"}, "--restore-hours"},
+      {{"availability", "--restore-hours", "0"}, "--restore-hours"},
+      {{"availability", "--restore-hours", "inf"}, "--restore-hours"},
   };
   for (const auto& c : cases) {
     const CommandResult result = run_argv(c.argv);

@@ -12,7 +12,6 @@
 #include "ctmc/elimination.hpp"
 #include "ctmc/stationary.hpp"
 #include "ctmc/transient.hpp"
-#include "linalg/matrix.hpp"
 #include "linalg/sparse/sparse_matrix.hpp"
 #include "util/assert.hpp"
 #include "util/error.hpp"
@@ -88,32 +87,38 @@ TEST(Chain, FindStateThrowsOnMissingOrDuplicate) {
 TEST(Chain, GeneratorRowsSumToZero) {
   const Chain c = repairable_pair(0.1, 5.0);
   const auto q = c.generator();
+  ASSERT_EQ(q.rows(), 3u);
   for (std::size_t i = 0; i < q.rows(); ++i) {
     double sum = 0.0;
-    for (std::size_t j = 0; j < q.cols(); ++j) sum += q(i, j);
+    for (std::size_t j = 0; j < q.cols(); ++j) sum += q.at(i, j);
     EXPECT_NEAR(sum, 0.0, 1e-15);
   }
+  // The absorbing state has no outgoing transition, so no stored entry.
+  EXPECT_EQ(q.row_ptr()[2], q.row_ptr()[3]);
 }
 
 TEST(Chain, TransientGeneratorDiagonalIncludesAbsorbingOutflow) {
+  // Q_B = -R: its diagonal carries the flow into absorbing states too.
   const Chain c = repairable_pair(0.1, 5.0);
-  const auto qb = c.transient_generator();
-  ASSERT_EQ(qb.rows(), 2u);
-  EXPECT_DOUBLE_EQ(qb(0, 0), -0.2);
-  EXPECT_DOUBLE_EQ(qb(1, 1), -(5.0 + 0.1));  // repair + absorbing outflow
+  const auto r = c.absorption_matrix();
+  ASSERT_EQ(r.rows(), 2u);
+  EXPECT_DOUBLE_EQ(-r.at(0, 0), -0.2);
+  EXPECT_DOUBLE_EQ(-r.at(1, 1), -(5.0 + 0.1));  // repair + absorbing outflow
 }
 
 TEST(Chain, AbsorptionMatrixIsNegatedTransientGenerator) {
+  // The absorbing state is last, so Q_B is Q's leading 2 x 2 block.
   const Chain c = repairable_pair(0.2, 3.0);
   const auto r = c.absorption_matrix();
-  const auto qb = c.transient_generator();
+  const auto q = c.generator();
+  ASSERT_EQ(r.rows(), 2u);
   for (std::size_t i = 0; i < r.rows(); ++i) {
     for (std::size_t j = 0; j < r.cols(); ++j) {
-      EXPECT_DOUBLE_EQ(r(i, j), -qb(i, j));
+      EXPECT_DOUBLE_EQ(r.at(i, j), -q.at(i, j));
     }
   }
-  EXPECT_GT(r(0, 0), 0.0);
-  EXPECT_LE(r(0, 1), 0.0);
+  EXPECT_GT(r.at(0, 0), 0.0);
+  EXPECT_LE(r.at(0, 1), 0.0);
 }
 
 TEST(Chain, ValidateDetectsUnreachableAbsorption) {
@@ -290,8 +295,7 @@ TEST(Elimination, MatrixOverloadMatchesChainOverload) {
   const double via_chain = EliminationSolver::mean_absorption_time_hours(c, 0);
   // R = -Q_B in CSR, with the absorption rates supplied exactly.
   const double via_matrix = EliminationSolver::mean_absorption_time_hours(
-      linalg::sparse::CsrMatrix::from_dense(c.absorption_matrix()),
-      c.rates_into(2), 0);
+      c.absorption_matrix(), c.rates_into(2), 0);
   EXPECT_NEAR(via_matrix, via_chain, 1e-12 * via_chain);
 }
 
@@ -324,7 +328,7 @@ TEST(Elimination, ValidatesInputs) {
   EXPECT_THROW((void)EliminationSolver::mean_absorption_time_hours(c, 1),
                ContractViolation);
   const auto bad_diag =
-      linalg::sparse::CsrMatrix::from_dense(linalg::Matrix{{-1.0}});
+      linalg::sparse::CsrMatrix::from_triplets(1, 1, {{0, 0, -1.0}});
   EXPECT_THROW(
       (void)EliminationSolver::mean_absorption_time_hours(bad_diag, {0.0}, 0),
       ContractViolation);

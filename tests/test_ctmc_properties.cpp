@@ -27,7 +27,9 @@ namespace {
 Chain random_chain(std::size_t transients, Xoshiro256& rng) {
   Chain c;
   for (std::size_t i = 0; i < transients; ++i) {
-    c.add_state("t" + std::to_string(i));
+    std::string label = "t";
+    label += std::to_string(i);
+    c.add_state(label);
   }
   const StateId absorber_a =
       c.add_state("lossA", StateKind::kAbsorbing);

@@ -1,17 +1,19 @@
 // Differential-testing harness for the CTMC solve stack (DESIGN.md §11).
 //
-// Three claims are proven here, each across hundreds of seeded random
+// Four claims are proven here, each across hundreds of seeded random
 // chains:
 //   1. The library's sparse GTH elimination is BIT-IDENTICAL (0 ULP) to
 //      the dense reference oracle in diffharness/dense_gth on every chain
 //      family the solver accepts, including chains of 64-256 states with
 //      heavy fill-in and the appendix recursion up to k = 9.
-//   2. The dense and sparse LU factorizations (different pivoting, so
-//      exact equality is not expected) agree with each other and with
-//      the library's absorbing and stationary results to the stated
-//      bound: relative error <= 1e-9 on every reported quantity.
+//   2. The library's absorbing and stationary results (sparse Markowitz
+//      LU at every size) agree with the dense partial-pivot LU oracle
+//      (different pivoting, so exact equality is not expected) to the
+//      stated bound: relative error <= 1e-9 on every reported quantity.
 //   3. Degenerate systems (trapped states, reducible chains) fail with
 //      the oracle's typed error — same ErrorCode, layer and detail.
+//   4. The library's CSR uniformization is BIT-IDENTICAL to dense
+//      uniformization on birth-death and random absorbing chains.
 // Plus the end-to-end form: nsrel's stdout is byte-identical at --jobs
 // 1 and 8.
 #include <cstdint>
@@ -28,12 +30,12 @@
 #include "ctmc/absorbing.hpp"
 #include "ctmc/elimination.hpp"
 #include "ctmc/stationary.hpp"
+#include "ctmc/transient.hpp"
 #include "diffharness/chain_generator.hpp"
 #include "diffharness/dense_gth.hpp"
 #include "diffharness/diff_runner.hpp"
-#include "linalg/lu.hpp"
-#include "linalg/matrix.hpp"
-#include "linalg/sparse/sparse_lu.hpp"
+#include "diffharness/lu.hpp"
+#include "diffharness/matrix.hpp"
 #include "linalg/sparse/sparse_matrix.hpp"
 #include "models/no_internal_raid.hpp"
 #include "obs/metrics.hpp"
@@ -47,10 +49,10 @@ namespace {
 
 using diffharness::DiffStats;
 
-/// The stated agreement bound for the LU factorizations (DESIGN.md §11):
-/// they pivot differently, so they agree only to rounding — observed
-/// worst cases are ~1e-12; 1e-9 leaves margin without hiding a real
-/// divergence.
+/// The stated agreement bound between the library's sparse LU and the
+/// dense LU oracle (DESIGN.md §11): they pivot differently, so they
+/// agree only to rounding — observed worst cases are ~1e-12; 1e-9 leaves
+/// margin without hiding a real divergence.
 constexpr double kLuRelativeBound = 1e-9;
 
 void count_chain(DiffStats& stats) {
@@ -181,97 +183,52 @@ TEST(DiffHarness, GthBitIdenticalOnLabeledRecursiveChains) {
   EXPECT_EQ(stats.max_ulp, 0u);
 }
 
+/// Asserts a library CSR matrix equals its dense oracle entry for entry,
+/// bit for bit.
+void expect_entrywise_bit_identical(const linalg::Matrix& oracle,
+                                    const linalg::sparse::CsrMatrix& library,
+                                    const std::string& what) {
+  const linalg::Matrix expanded = linalg::to_dense(library);
+  ASSERT_TRUE(expanded.same_shape(oracle)) << what;
+  for (std::size_t i = 0; i < oracle.rows(); ++i) {
+    for (std::size_t j = 0; j < oracle.cols(); ++j) {
+      ASSERT_TRUE(diffharness::bit_equal(oracle(i, j), expanded(i, j)))
+          << what << " entry (" << i << ", " << j << ")";
+    }
+  }
+}
+
 TEST(DiffHarness, RecursiveSparseAssemblyMatchesDenseEntryForEntry) {
   for (int k = 1; k <= 9; ++k) {
     Xoshiro256 rng(stream_seed(0xD5FF, static_cast<std::uint64_t>(k)));
     const models::NoInternalRaidModel model(
         diffharness::random_recursive_params(rng, k));
-    const linalg::Matrix dense =
-        diffharness::absorption_matrix_recursive(model);
-    const linalg::Matrix roundtrip =
-        model.absorption_matrix_recursive_sparse().to_dense();
-    ASSERT_EQ(roundtrip.rows(), dense.rows());
-    for (std::size_t i = 0; i < dense.rows(); ++i) {
-      for (std::size_t j = 0; j < dense.cols(); ++j) {
-        ASSERT_TRUE(diffharness::bit_equal(dense(i, j), roundtrip(i, j)))
-            << "k=" << k << " entry (" << i << ", " << j << ")";
-      }
-    }
+    expect_entrywise_bit_identical(
+        diffharness::absorption_matrix_recursive(model),
+        model.absorption_matrix_recursive_sparse(), "k=" + std::to_string(k));
   }
 }
 
-// --- claim 2: LU factorizations agree to the stated bound -------------
+// --- claim 2: the library's LU agrees with the oracle to the bound ----
 
-/// Asserts `library` is within the LU bound of each reference vector.
+/// Asserts `library` is within the LU bound of the oracle, entrywise.
 void expect_within_lu_bound(const std::vector<double>& library,
-                            const std::vector<double>& dense,
-                            const std::vector<double>& sparse,
+                            const std::vector<double>& oracle,
                             DiffStats& stats, const std::string& what) {
-  ASSERT_EQ(library.size(), dense.size()) << what;
-  ASSERT_EQ(library.size(), sparse.size()) << what;
+  ASSERT_EQ(library.size(), oracle.size()) << what;
   for (std::size_t i = 0; i < library.size(); ++i) {
-    EXPECT_LE(diffharness::rel_diff(dense[i], sparse[i]), kLuRelativeBound)
-        << what << " entry " << i;
-    EXPECT_LE(diffharness::rel_diff(library[i], dense[i]), kLuRelativeBound)
-        << what << " entry " << i;
-    EXPECT_LE(diffharness::rel_diff(library[i], sparse[i]), kLuRelativeBound)
+    EXPECT_LE(diffharness::rel_diff(library[i], oracle[i]), kLuRelativeBound)
         << what << " entry " << i;
   }
-  stats.record(dense, sparse);
-}
-
-/// Every quantity the absorbing solver reports, recomputed in the test
-/// from one LU factorization of R the way the library derives them:
-/// occupancy from R^T tau = pi0, the phase-type stddev from m = R^{-1} 1,
-/// and absorption probabilities from tau and the rates into each sink.
-struct AbsorbingReference {
-  std::vector<double> occupancy;
-  double mean = 0.0;
-  double stddev = 0.0;
-  std::vector<double> absorption;
-};
-
-template <typename Factorization>
-AbsorbingReference absorbing_reference(const ctmc::Chain& chain,
-                                       const Factorization& lu,
-                                       const linalg::Vector& pi0) {
-  AbsorbingReference ref;
-  ref.occupancy = lu.solve_transposed(pi0);
-  KahanSum mean;
-  for (const double tau : ref.occupancy) mean.add(tau);
-  ref.mean = mean.value();
-  const linalg::Vector m = lu.solve(linalg::Vector(pi0.size(), 1.0));
-  KahanSum second_moment;
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    second_moment.add(2.0 * ref.occupancy[i] * m[i]);
-  }
-  const double variance = second_moment.value() - ref.mean * ref.mean;
-  ref.stddev = variance > 0.0 ? std::sqrt(variance) : 0.0;
-  for (const ctmc::StateId a : chain.absorbing_states()) {
-    const std::vector<double> rates = chain.rates_into(a);
-    KahanSum p;
-    for (std::size_t i = 0; i < rates.size(); ++i) {
-      p.add(ref.occupancy[i] * rates[i]);
-    }
-    ref.absorption.push_back(p.value());
-  }
-  return ref;
-}
-
-/// Asserts a scalar `library` result is within the LU bound of both
-/// references and records the dense/sparse gap.
-void expect_scalar_within_lu_bound(double library, double dense,
-                                   double sparse, DiffStats& stats,
-                                   const std::string& what) {
-  EXPECT_LE(diffharness::rel_diff(dense, sparse), kLuRelativeBound) << what;
-  EXPECT_LE(diffharness::rel_diff(library, dense), kLuRelativeBound) << what;
-  EXPECT_LE(diffharness::rel_diff(library, sparse), kLuRelativeBound) << what;
-  stats.record(dense, sparse);
+  stats.record(library, oracle);
 }
 
 TEST(DiffHarness, AbsorbingLuBackendsAgreeToStatedBound) {
-  // 2..96 transient states: the library factors densely below 64 and
-  // sparsely from 64, so both of its paths are covered.
+  // 2..96 transient states. Every quantity the absorbing solver reports
+  // is recomputed from one dense LU of R the way the library derives
+  // them: occupancy from R^T tau = pi0, the phase-type stddev from
+  // m = R^{-1} 1, and absorption probabilities from tau and the rates
+  // into each sink.
   DiffStats stats;
   for (std::uint64_t seed = 0; seed < 60; ++seed) {
     Xoshiro256 rng(stream_seed(0xAB50, seed));
@@ -285,28 +242,41 @@ TEST(DiffHarness, AbsorbingLuBackendsAgreeToStatedBound) {
                                       << analysis.error().message();
     const auto& library = analysis.value();
 
-    const linalg::Matrix r = chain.absorption_matrix();
+    const linalg::Matrix r = diffharness::dense_absorption_matrix(chain);
+    expect_entrywise_bit_identical(r, chain.absorption_matrix(), what);
+    const linalg::LuDecomposition lu(r);
+    ASSERT_FALSE(lu.singular()) << what;
     linalg::Vector pi0(transient, 0.0);
     pi0[0] = 1.0;
-    const linalg::LuDecomposition dense_lu(r);
-    const linalg::sparse::SparseLu sparse_lu(
-        linalg::sparse::CsrMatrix::from_dense(r));
-    ASSERT_FALSE(dense_lu.singular()) << what;
-    ASSERT_FALSE(sparse_lu.singular()) << what;
-    const AbsorbingReference dense = absorbing_reference(chain, dense_lu, pi0);
-    const AbsorbingReference sparse =
-        absorbing_reference(chain, sparse_lu, pi0);
+    const linalg::Vector occupancy = lu.solve_transposed(pi0);
+    KahanSum mean;
+    for (const double tau : occupancy) mean.add(tau);
+    const linalg::Vector m = lu.solve(linalg::Vector(transient, 1.0));
+    KahanSum second_moment;
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      second_moment.add(2.0 * occupancy[i] * m[i]);
+    }
+    const double variance =
+        second_moment.value() - mean.value() * mean.value();
+    std::vector<double> absorption;
+    for (const ctmc::StateId a : chain.absorbing_states()) {
+      const std::vector<double> rates = chain.rates_into(a);
+      KahanSum p;
+      for (std::size_t i = 0; i < rates.size(); ++i) {
+        p.add(occupancy[i] * rates[i]);
+      }
+      absorption.push_back(p.value());
+    }
 
-    expect_scalar_within_lu_bound(library.mean_time_to_absorption_hours,
-                                  dense.mean, sparse.mean, stats,
-                                  what + " mean");
-    expect_scalar_within_lu_bound(library.stddev_time_to_absorption_hours,
-                                  dense.stddev, sparse.stddev, stats,
-                                  what + " stddev");
-    expect_within_lu_bound(library.absorption_probability, dense.absorption,
-                           sparse.absorption, stats, what + " absorption");
-    expect_within_lu_bound(library.occupancy_hours, dense.occupancy,
-                           sparse.occupancy, stats, what + " occupancy");
+    expect_within_lu_bound({library.mean_time_to_absorption_hours,
+                            library.stddev_time_to_absorption_hours},
+                           {mean.value(),
+                            variance > 0.0 ? std::sqrt(variance) : 0.0},
+                           stats, what + " mean, stddev");
+    expect_within_lu_bound(library.absorption_probability, absorption, stats,
+                           what + " absorption");
+    expect_within_lu_bound(library.occupancy_hours, occupancy, stats,
+                           what + " occupancy");
     count_chain(stats);
   }
   EXPECT_GE(stats.chains, 50u);
@@ -316,7 +286,7 @@ TEST(DiffHarness, AbsorbingLuBackendsAgreeToStatedBound) {
 /// Q^T with the last row replaced by the normalization equation — the
 /// stationary solver's system, assembled densely.
 linalg::Matrix normalized_transpose(const ctmc::Chain& chain) {
-  linalg::Matrix a = chain.generator().transpose();
+  linalg::Matrix a = diffharness::dense_generator(chain).transpose();
   const std::size_t n = a.rows();
   for (std::size_t j = 0; j < n; ++j) a(n - 1, j) = 1.0;
   return a;
@@ -333,16 +303,11 @@ TEST(DiffHarness, StationaryLuBackendsAgreeToStatedBound) {
     ASSERT_TRUE(library.has_value()) << what << ": "
                                      << library.error().message();
 
-    const linalg::Matrix a = normalized_transpose(chain);
+    const linalg::LuDecomposition oracle(normalized_transpose(chain));
+    ASSERT_FALSE(oracle.singular()) << what;
     linalg::Vector b(n, 0.0);
     b[n - 1] = 1.0;
-    const linalg::LuDecomposition dense(a);
-    const linalg::sparse::SparseLu sparse(
-        linalg::sparse::CsrMatrix::from_dense(a));
-    ASSERT_FALSE(dense.singular()) << what;
-    ASSERT_FALSE(sparse.singular()) << what;
-    expect_within_lu_bound(library.value(), dense.solve(b), sparse.solve(b),
-                           stats, what);
+    expect_within_lu_bound(library.value(), oracle.solve(b), stats, what);
     count_chain(stats);
   }
   EXPECT_GE(stats.chains, 50u);
@@ -356,7 +321,8 @@ TEST(DiffHarness, TrappedStatesFailIdenticallyOnBothBackends) {
   // path: elimination must reach an exactly-zero pivot in both.
   const auto system = diffharness::trapped_system(3, 3);
   const auto oracle =
-      diffharness::dense_gth(system.dense, system.absorption_rates, 0);
+      diffharness::dense_gth(linalg::to_dense(system.sparse),
+                             system.absorption_rates, 0);
   const auto library = ctmc::EliminationSolver::try_mean_absorption_time_hours(
       system.sparse, system.absorption_rates, 0);
   ASSERT_FALSE(oracle.has_value());
@@ -372,7 +338,8 @@ TEST(DiffHarness, TrappedInitialStateFailsIdenticallyOnBothBackends) {
   // the final step as a vanished initial absorption probability.
   const auto system = diffharness::trapped_system(0, 2);
   const auto oracle =
-      diffharness::dense_gth(system.dense, system.absorption_rates, 0);
+      diffharness::dense_gth(linalg::to_dense(system.sparse),
+                             system.absorption_rates, 0);
   const auto library = ctmc::EliminationSolver::try_mean_absorption_time_hours(
       system.sparse, system.absorption_rates, 0);
   ASSERT_FALSE(oracle.has_value());
@@ -383,17 +350,59 @@ TEST(DiffHarness, TrappedInitialStateFailsIdenticallyOnBothBackends) {
 }
 
 TEST(DiffHarness, ReducibleStationaryChainFailsIdenticallyOnBothBackends) {
-  // The normalized transpose is exactly rank-deficient, so both
-  // factorizations must see it, and the library reports it typed.
+  // The normalized transpose is exactly rank-deficient, so the oracle's
+  // factorization must see it, and the library reports it typed.
   const ctmc::Chain chain = diffharness::disconnected_cycles();
   const auto library = ctmc::StationarySolver::try_distribution(chain);
   ASSERT_FALSE(library.has_value());
   EXPECT_EQ(library.error().code, ErrorCode::kSingularGenerator);
-  const linalg::Matrix a = normalized_transpose(chain);
-  EXPECT_TRUE(linalg::LuDecomposition(a).singular());
-  EXPECT_TRUE(
-      linalg::sparse::SparseLu(linalg::sparse::CsrMatrix::from_dense(a))
-          .singular());
+  EXPECT_TRUE(linalg::LuDecomposition(normalized_transpose(chain)).singular());
+}
+
+// --- claim 4: CSR uniformization is bit-identical to dense ------------
+
+/// Library transient distribution against the dense oracle at horizons
+/// of 0.3 to 300 uniformization steps (Lambda * t), entry by entry.
+void expect_transient_bit_identical(const ctmc::Chain& chain,
+                                    DiffStats& stats,
+                                    const std::string& what) {
+  expect_entrywise_bit_identical(diffharness::dense_generator(chain),
+                                 chain.generator(), what + " generator");
+  const ctmc::TransientSolver solver(chain);
+  for (const double steps : {0.3, 3.0, 30.0, 300.0}) {
+    const double t = steps / solver.uniformization_rate();
+    const std::vector<double> library = solver.distribution_at(t, 0);
+    const std::vector<double> oracle =
+        diffharness::dense_transient_distribution(chain, t, 0);
+    ASSERT_EQ(library.size(), oracle.size()) << what;
+    for (std::size_t i = 0; i < oracle.size(); ++i) {
+      EXPECT_TRUE(diffharness::bit_equal(oracle[i], library[i]))
+          << what << " Lambda*t=" << steps << " state " << i
+          << ": oracle=" << oracle[i] << " library=" << library[i];
+    }
+    stats.record(oracle, library);
+  }
+  count_chain(stats);
+}
+
+TEST(DiffHarness, TransientUniformizationBitIdenticalToDenseOracle) {
+  DiffStats stats;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    Xoshiro256 rng(stream_seed(0x7A1F, seed));
+    expect_transient_bit_identical(
+        diffharness::birth_death(rng, 2 + rng.below(40)), stats,
+        "birth_death seed " + std::to_string(seed));
+  }
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    Xoshiro256 rng(stream_seed(0x7A2F, seed));
+    const std::size_t transient = 2 + rng.below(30);
+    const std::size_t absorbing = 1 + rng.below(3);
+    expect_transient_bit_identical(
+        diffharness::random_absorbing(rng, transient, absorbing, 0.15), stats,
+        "random_absorbing seed " + std::to_string(seed));
+  }
+  EXPECT_EQ(stats.chains, 80u);
+  EXPECT_EQ(stats.max_ulp, 0u);
 }
 
 // --- end-to-end: CLI output is byte-identical across --jobs -----------

@@ -1,13 +1,18 @@
-// Unit and property tests for the dense linear algebra substrate.
+// Unit and property tests for the linear algebra: the dense reference
+// matrix and LU the differential harness uses as its oracle, and the
+// library's sparse Markowitz LU against them.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "linalg/lu.hpp"
-#include "linalg/matrix.hpp"
+#include "diffharness/lu.hpp"
+#include "diffharness/matrix.hpp"
+#include "linalg/sparse/sparse_lu.hpp"
+#include "linalg/sparse/sparse_matrix.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -217,6 +222,46 @@ TEST_P(LuPropertyTest, SolveTransposedMatchesExplicitTranspose) {
   }
 }
 
+/// CSR copy of a dense matrix, exact zeros dropped.
+sparse::CsrMatrix to_csr(const Matrix& a) {
+  std::vector<sparse::Triplet> triplets;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      if (a(i, j) != 0.0) {
+        triplets.push_back({static_cast<std::uint32_t>(i),
+                            static_cast<std::uint32_t>(j), a(i, j)});
+      }
+    }
+  }
+  return sparse::CsrMatrix::from_triplets(a.rows(), a.cols(), triplets);
+}
+
+TEST_P(LuPropertyTest, SparseLuMatchesDenseLu) {
+  // Markowitz pivoting differs from partial pivoting, so the two agree
+  // to rounding on the solves, and their Hager estimates both bracket
+  // the exact rcond.
+  Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) + 5000);
+  const auto n = static_cast<std::size_t>(2 + GetParam() % 12);
+  const Matrix a = random_matrix(n, rng);
+  Vector b(n);
+  for (auto& v : b) v = rng.uniform() * 10.0 - 5.0;
+  const LuDecomposition dense(a);
+  const sparse::SparseLu lu(to_csr(a));
+  ASSERT_FALSE(lu.singular());
+  ASSERT_EQ(lu.dimension(), n);
+  const Vector x = lu.solve(b);
+  const Vector xt = lu.solve_transposed(b);
+  const Vector dense_x = dense.solve(b);
+  const Vector dense_xt = dense.solve_transposed(b);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(x[i], dense_x[i], 1e-9);
+    EXPECT_NEAR(xt[i], dense_xt[i], 1e-9);
+  }
+  const double exact = 1.0 / (a.one_norm() * dense.inverse().one_norm());
+  EXPECT_GE(lu.rcond_estimate(), exact * (1.0 - 1e-12));
+  EXPECT_LE(lu.rcond_estimate(), exact * 20.0);
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomMatrices, LuPropertyTest,
                          ::testing::Range(0, 20));
 
@@ -253,6 +298,24 @@ TEST_P(LuPropertyTest, RcondEstimateBracketsExactValue) {
   const double estimate = lu.rcond_estimate();
   EXPECT_GE(estimate, exact * (1.0 - 1e-12));
   EXPECT_LE(estimate, exact * 20.0);
+}
+
+TEST(SparseLu, SingularDetection) {
+  const sparse::SparseLu lu(to_csr(Matrix{{1.0, 2.0}, {2.0, 4.0}}));
+  EXPECT_TRUE(lu.singular());
+  EXPECT_DOUBLE_EQ(lu.rcond_estimate(), 0.0);
+  // An empty column: no pivot candidate at all.
+  EXPECT_TRUE(sparse::SparseLu(to_csr(Matrix{{1.0, 0.0}, {3.0, 0.0}}))
+                  .singular());
+}
+
+TEST(SparseLu, RcondExactForDiagonalMatrices) {
+  Matrix a = Matrix::identity(4);
+  a(1, 1) = -10.0;
+  a(2, 2) = 100.0;
+  a(3, 3) = 4000.0;
+  EXPECT_NEAR(sparse::SparseLu(to_csr(a)).rcond_estimate(), 1.0 / 4000.0,
+              1e-15);
 }
 
 TEST(Lu, MatrixSolveMultipleRhs) {
