@@ -15,10 +15,11 @@ namespace {
 
 using namespace nsrel;
 
+// R = 12, widened to 20 where k reaches it (R > k).
 models::NoInternalRaidParams nir_params(int k) {
   models::NoInternalRaidParams p;
   p.node_set_size = 64;
-  p.redundancy_set_size = 12;
+  p.redundancy_set_size = k < 12 ? 12 : 20;
   p.fault_tolerance = k;
   p.drives_per_node = 12;
   p.node_failure = PerHour(1.0 / 400'000.0);
@@ -37,7 +38,9 @@ void BM_NirChainBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(model.chain());
   }
 }
-BENCHMARK(BM_NirChainBuild)->DenseRange(1, 7);
+// Assembly is linear in the transitions: k = 11, 13 and 16 (4096 to
+// 131072 states) show the slope past the paper's k <= 3.
+BENCHMARK(BM_NirChainBuild)->DenseRange(1, 7)->Arg(11)->Arg(13)->Arg(16);
 
 void BM_NirExactSolve(benchmark::State& state) {
   const models::NoInternalRaidModel model(
@@ -46,7 +49,7 @@ void BM_NirExactSolve(benchmark::State& state) {
     benchmark::DoNotOptimize(model.mttdl_exact().value());
   }
 }
-BENCHMARK(BM_NirExactSolve)->DenseRange(1, 7);
+BENCHMARK(BM_NirExactSolve)->DenseRange(1, 7)->Arg(11)->Arg(13)->Arg(16);
 
 void BM_NirClosedForm(benchmark::State& state) {
   const models::NoInternalRaidModel model(

@@ -62,12 +62,6 @@ const Node& ObjectStore::node(int id) const {
   return nodes_[static_cast<std::size_t>(id)];
 }
 
-int ObjectStore::live_nodes() const {
-  return static_cast<int>(
-      std::count_if(nodes_.begin(), nodes_.end(),
-                    [](const Node& n) { return n.alive(); }));
-}
-
 std::vector<int> ObjectStore::place_stripe() {
   // A node can host a shard when it is alive AND some drive has room (a
   // fail-in-place node can be alive with every drive dead or full).
@@ -344,11 +338,6 @@ RebuildReport ObjectStore::rebuild() {
   return report;
 }
 
-[[nodiscard]] Expected<ObjectId> ObjectStore::try_write(
-    const std::vector<std::uint8_t>& bytes) {
-  return as_expected([&] { return write(bytes); });
-}
-
 [[nodiscard]] Expected<std::vector<std::uint8_t>> ObjectStore::try_read(ObjectId id) const {
   return as_expected([&] { return read(id); });
 }
@@ -356,10 +345,6 @@ RebuildReport ObjectStore::rebuild() {
 [[nodiscard]] Expected<std::vector<std::uint8_t>> ObjectStore::try_read_range(
     ObjectId id, std::size_t offset, std::size_t length) const {
   return as_expected([&] { return read_range(id, offset, length); });
-}
-
-[[nodiscard]] Expected<RebuildReport> ObjectStore::try_rebuild() {
-  return as_expected([&] { return rebuild(); });
 }
 
 std::vector<StripeRef> ObjectStore::degraded_stripes() const {

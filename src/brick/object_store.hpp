@@ -89,18 +89,12 @@ class ObjectStore {
 
   [[nodiscard]] const StoreParams& params() const { return params_; }
   [[nodiscard]] const Node& node(int id) const;
-  [[nodiscard]] int live_nodes() const;
 
   /// Stores an object; splits it into stripes of (R-t) data chunks (the
   /// last stripe zero-padded), encodes t parity chunks per stripe, and
   /// places each stripe on R distinct live nodes.
   /// Throws ContractViolation when too few live nodes or out of space.
   ObjectId write(const std::vector<std::uint8_t>& bytes);
-
-  /// Typed twin of write(): kContractViolation when too few live nodes
-  /// or out of space, kDataLoss/kCapacityExhausted passed through.
-  [[nodiscard]] Expected<ObjectId> try_write(
-      const std::vector<std::uint8_t>& bytes);
 
   /// Reads an object back, reconstructing shards from parity where nodes
   /// or drives have failed. Throws DataLossError when some stripe has
@@ -157,10 +151,6 @@ class ObjectStore {
   /// (Single-threaded, all-or-nothing; src/repair is the concurrent,
   /// fault-tolerant engine built on the stripe-level API below.)
   RebuildReport rebuild();
-
-  /// Typed twin of rebuild(): kDataLoss / kCapacityExhausted instead of
-  /// the exceptions.
-  [[nodiscard]] Expected<RebuildReport> try_rebuild();
 
   // --- stripe-level repair API (used by repair::run_repair) -----------
 

@@ -202,6 +202,13 @@ std::optional<std::string> read_file(const std::string& path,
   return std::move(text).str();
 }
 
+/// A typed error in the user's input to a single-result command: "error:
+/// <layer>: <code>: <detail>" on `err`, exit 4.
+int report_usage_error(const Error& error, std::ostream& err) {
+  err << "error: " << error.message() << "\n";
+  return kExitUsage;
+}
+
 int check_unused(const Args& args, std::ostream& err) {
   const auto unused = args.unused();
   if (unused.empty()) return 0;
@@ -399,20 +406,29 @@ int run_availability(const Args& args, std::ostream& out, std::ostream& err) {
   const core::SystemConfig sys = config_from_args(args);
   const core::Configuration configuration = configuration_from_args(args);
   const double restore_hours = args.get_double("restore-hours", 168.0);
-  if (!(restore_hours > 0.0) || !std::isfinite(restore_hours)) {
-    invalid_flag("restore-hours", "must be finite and > 0");
+  // The restore rate is 1/restore-hours, so a subnormal value would
+  // make it infinite.
+  if (!(restore_hours > 0.0) || !std::isfinite(restore_hours) ||
+      !std::isfinite(1.0 / restore_hours)) {
+    invalid_flag("restore-hours", "must be finite and > 0, with a finite "
+                                  "reciprocal");
   }
   if (const int rc = check_unused(args, err); rc != 0) return rc;
 
   const core::Analyzer analyzer(sys);
   // Availability needs the underlying chain; the analyzer rebuilds it
   // from the same parameters analyze() uses.
-  const auto built = analyzer.build_chain(configuration);
+  const auto built = analyzer.try_build_chain(configuration);
+  if (!built.has_value()) return report_usage_error(built.error(), err);
   const auto result = models::AvailabilityModel::analyze(
-      built.chain, built.healthy, Hours(restore_hours));
+      built.value().chain, built.value().healthy, Hours(restore_hours));
+  // Fixed notation stops being readable in the millions of hours.
+  const std::string restore_time = restore_hours < 1e6
+                                       ? fixed(restore_hours, 1)
+                                       : sci(restore_hours);
   out << "configuration:       " << core::name(configuration) << "\n"
       << "MTTDL:               " << human_hours(result.mttdl.value()) << "\n"
-      << "restore time:        " << fixed(restore_hours, 1) << " h\n"
+      << "restore time:        " << restore_time << " h\n"
       << "availability:        " << fixed(result.availability * 100.0, 9)
       << " %\n"
       << "downtime:            " << sci(result.downtime_minutes_per_year)
@@ -427,10 +443,11 @@ int run_chain(const Args& args, std::ostream& out, std::ostream& err) {
   const core::Configuration configuration = configuration_from_args(args);
   if (const int rc = check_unused(args, err); rc != 0) return rc;
 
-  const core::Analyzer analyzer(sys);
+  const auto built = core::Analyzer(sys).try_build_chain(configuration);
+  if (!built.has_value()) return report_usage_error(built.error(), err);
   ctmc::DotOptions options;
   options.graph_name = core::name(configuration);
-  ctmc::write_dot(analyzer.build_chain(configuration).chain, out, options);
+  ctmc::write_dot(built.value().chain, out, options);
   return 0;
 }
 

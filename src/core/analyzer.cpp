@@ -113,6 +113,27 @@ std::optional<Error> check_positive_finite(double value, const char* name) {
                std::string(name) + " must be finite and positive"};
 }
 
+/// The one fault-tolerance check of the try_* paths: k >= 1, k below the
+/// redundancy set size, and k <= 16 without internal RAID (the
+/// NoInternalRaidModel cap: that chain has 2^(k+1) states). A typed
+/// error, not a contract violation: k comes from user input (a flag or
+/// a sweep axis), not from a caller bug.
+std::optional<Error> check_fault_tolerance(const Configuration& configuration,
+                                           int redundancy_set_size) {
+  const int k = configuration.node_fault_tolerance;
+  if (k < 1 || k >= redundancy_set_size) {
+    return Error{ErrorCode::kInvalidParameter, "core.analyzer",
+                 "node fault tolerance must be >= 1 and below the "
+                 "redundancy set size"};
+  }
+  if (configuration.internal == InternalScheme::kNone && k > 16) {
+    return Error{ErrorCode::kInvalidParameter, "core.analyzer",
+                 "node fault tolerance above 16 is not supported without "
+                 "internal RAID (the chain has 2^(k+1) states)"};
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 Method parse_method(const std::string& name) {
@@ -215,6 +236,15 @@ Analyzer::BuiltChain Analyzer::build_chain(
   return {models::InternalRaidNodeModel(ir_params(configuration)).chain(), 0};
 }
 
+[[nodiscard]] Expected<Analyzer::BuiltChain> Analyzer::try_build_chain(
+    const Configuration& configuration) const {
+  if (auto bad = check_fault_tolerance(configuration,
+                                       config_.redundancy_set_size)) {
+    return *std::move(bad);
+  }
+  return build_chain(configuration);
+}
+
 sim::MttdlEstimate Analyzer::simulate_mttdl(
     const Configuration& configuration, int trials, std::uint64_t seed,
     const sim::ParallelOptions& options) const {
@@ -237,21 +267,9 @@ AnalysisResult Analyzer::analyze(const Configuration& configuration,
 [[nodiscard]] Expected<AnalysisResult> Analyzer::try_analyze(
     const Configuration& configuration, Method method,
     SolveCache* cache) const {
-  if (configuration.node_fault_tolerance < 1 ||
-      configuration.node_fault_tolerance >= config_.redundancy_set_size) {
-    return Error{ErrorCode::kInvalidParameter, "core.analyzer",
-                 "node fault tolerance must be >= 1 and below the "
-                 "redundancy set size"};
-  }
-  if (configuration.internal == InternalScheme::kNone &&
-      configuration.node_fault_tolerance > 16) {
-    // Matches the NoInternalRaidModel cap: the chain has 2^(k+1) states,
-    // and 16 is where even the sparse path stops being sensible. A typed
-    // error, not a contract violation — the parameter came from user
-    // input (a sweep axis), not from a caller bug.
-    return Error{ErrorCode::kInvalidParameter, "core.analyzer",
-                 "node fault tolerance above 16 is not supported without "
-                 "internal RAID (the chain has 2^(k+1) states)"};
+  if (auto bad = check_fault_tolerance(configuration,
+                                       config_.redundancy_set_size)) {
+    return *std::move(bad);
   }
   if (auto bad = check_positive_finite(config_.drive.mttf.value(),
                                        "drive MTTF")) {

@@ -107,6 +107,12 @@ class Analyzer {
   };
   [[nodiscard]] BuiltChain build_chain(const Configuration& configuration) const;
 
+  /// Non-throwing form of build_chain() for user-supplied configurations:
+  /// a fault tolerance outside the models' domain comes back as the same
+  /// typed invalid_parameter error try_analyze() reports.
+  [[nodiscard]] Expected<BuiltChain> try_build_chain(
+      const Configuration& configuration) const;
+
   /// Monte-Carlo MTTDL estimate from the family's storage simulator
   /// (regenerative importance sampling, sim/regenerative.hpp), routed
   /// through the parallel engine. Deterministic for a fixed (seed,

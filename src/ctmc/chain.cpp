@@ -1,9 +1,9 @@
 #include "ctmc/chain.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,7 +13,7 @@
 namespace nsrel::ctmc {
 
 StateId Chain::add_state(std::string label, StateKind kind) {
-  states_.push_back(State{std::move(label), kind});
+  states_.push_back(Slot{State{std::move(label), kind}});
   return states_.size() - 1;
 }
 
@@ -22,20 +22,25 @@ void Chain::add_transition(StateId from, StateId to, double rate) {
   NSREL_EXPECTS(to < states_.size());
   NSREL_EXPECTS(from != to);
   NSREL_EXPECTS(rate > 0.0);
-  NSREL_EXPECTS(states_[from].kind == StateKind::kTransient);
-  for (auto& t : transitions_) {
-    if (t.from == from && t.to == to) {
-      t.rate += rate;
+  NSREL_EXPECTS(std::isfinite(rate));
+  Slot& source = states_[from];
+  NSREL_EXPECTS(source.state.kind == StateKind::kTransient);
+  for (std::size_t t = source.first_out; t != kNoTransition;
+       t = next_out_[t]) {
+    if (transitions_[t].to == to) {
+      transitions_[t].rate += rate;
       return;
     }
   }
+  next_out_.push_back(source.first_out);
+  source.first_out = transitions_.size();
   transitions_.push_back(Transition{from, to, rate});
 }
 
 std::size_t Chain::transient_count() const {
   return static_cast<std::size_t>(
-      std::count_if(states_.begin(), states_.end(), [](const State& s) {
-        return s.kind == StateKind::kTransient;
+      std::count_if(states_.begin(), states_.end(), [](const Slot& s) {
+        return s.state.kind == StateKind::kTransient;
       }));
 }
 
@@ -45,13 +50,13 @@ std::size_t Chain::absorbing_count() const {
 
 const State& Chain::state(StateId id) const {
   NSREL_EXPECTS(id < states_.size());
-  return states_[id];
+  return states_[id].state;
 }
 
 StateId Chain::find_state(const std::string& label) const {
   StateId found = states_.size();
   for (StateId i = 0; i < states_.size(); ++i) {
-    if (states_[i].label == label) {
+    if (states_[i].state.label == label) {
       NSREL_EXPECTS(found == states_.size());  // ambiguous label
       found = i;
     }
@@ -63,7 +68,7 @@ StateId Chain::find_state(const std::string& label) const {
 std::vector<StateId> Chain::transient_states() const {
   std::vector<StateId> result;
   for (StateId i = 0; i < states_.size(); ++i) {
-    if (states_[i].kind == StateKind::kTransient) result.push_back(i);
+    if (states_[i].state.kind == StateKind::kTransient) result.push_back(i);
   }
   return result;
 }
@@ -71,7 +76,7 @@ std::vector<StateId> Chain::transient_states() const {
 std::vector<StateId> Chain::absorbing_states() const {
   std::vector<StateId> result;
   for (StateId i = 0; i < states_.size(); ++i) {
-    if (states_[i].kind == StateKind::kAbsorbing) result.push_back(i);
+    if (states_[i].state.kind == StateKind::kAbsorbing) result.push_back(i);
   }
   return result;
 }
@@ -115,7 +120,7 @@ linalg::sparse::CsrMatrix Chain::absorption_matrix() const {
 
 std::vector<double> Chain::rates_into(StateId absorbing) const {
   NSREL_EXPECTS(absorbing < states_.size());
-  NSREL_EXPECTS(states_[absorbing].kind == StateKind::kAbsorbing);
+  NSREL_EXPECTS(states_[absorbing].state.kind == StateKind::kAbsorbing);
   const auto transient = transient_states();
   std::vector<std::size_t> index(states_.size(), states_.size());
   for (std::size_t i = 0; i < transient.size(); ++i) index[transient[i]] = i;
@@ -143,37 +148,44 @@ std::string Chain::validate() const {
   if (transient_count() == 0) return "chain has no transient states";
   if (absorbing_count() == 0) return "chain has no absorbing states";
 
-  // BFS on the reversed graph from absorbing states: every transient state
-  // must be able to reach absorption, otherwise MTTDL is infinite and the
-  // absorption matrix is singular. The reverse adjacency is built once
-  // (sources of the transitions into state s: sources[first[s]..first[s+1])),
-  // so the search is O(states + transitions).
-  std::vector<std::size_t> first(states_.size() + 1, 0);
-  for (const auto& t : transitions_) ++first[t.to + 1];
-  for (std::size_t s = 0; s < states_.size(); ++s) first[s + 1] += first[s];
+  // Search the reversed graph from the absorbing states: every transient
+  // state must be able to reach absorption, otherwise MTTDL is infinite
+  // and the absorption matrix is singular. The reverse adjacency is
+  // built once, so the search is O(states + transitions): the sources of
+  // the transitions into state s are sources[first[s]..first[s+1]).
+  // first[s] counts into s, is summed to the end of s's range, and each
+  // source placed steps it back to the start.
+  const std::size_t n = states_.size();
+  std::vector<std::size_t> first(n + 1, 0);
+  for (const auto& t : transitions_) ++first[t.to];
+  for (std::size_t s = 1; s <= n; ++s) first[s] += first[s - 1];
   std::vector<StateId> sources(transitions_.size());
-  std::vector<std::size_t> fill(first.begin(), first.end() - 1);
-  for (const auto& t : transitions_) sources[fill[t.to]++] = t.from;
+  for (const auto& t : transitions_) sources[--first[t.to]] = t.from;
 
-  std::vector<char> reaches(states_.size(), 0);
-  std::queue<StateId> frontier;
-  for (const StateId a : absorbing_states()) {
-    reaches[a] = 1;
-    frontier.push(a);
+  // Which states are reached does not depend on the search order, so
+  // the frontier is a stack.
+  std::vector<char> reaches(n, 0);
+  std::vector<StateId> frontier;
+  frontier.reserve(n);
+  for (StateId s = 0; s < n; ++s) {
+    if (states_[s].state.kind == StateKind::kAbsorbing) {
+      reaches[s] = 1;
+      frontier.push_back(s);
+    }
   }
   while (!frontier.empty()) {
-    const StateId current = frontier.front();
-    frontier.pop();
+    const StateId current = frontier.back();
+    frontier.pop_back();
     for (std::size_t i = first[current]; i < first[current + 1]; ++i) {
       if (!reaches[sources[i]]) {
         reaches[sources[i]] = 1;
-        frontier.push(sources[i]);
+        frontier.push_back(sources[i]);
       }
     }
   }
-  for (StateId i = 0; i < states_.size(); ++i) {
+  for (StateId i = 0; i < n; ++i) {
     if (!reaches[i]) {
-      return "state '" + states_[i].label + "' cannot reach absorption";
+      return "state '" + states_[i].state.label + "' cannot reach absorption";
     }
   }
   return {};

@@ -36,14 +36,16 @@ class Chain {
   StateId add_state(std::string label,
                     StateKind kind = StateKind::kTransient);
 
-  /// Adds a transition with the given rate (> 0). Transitions out of
-  /// absorbing states are rejected; parallel transitions accumulate.
+  /// Adds a transition with the given finite rate (> 0). Transitions out
+  /// of absorbing states are rejected; parallel transitions accumulate
+  /// into the first one, in call order. O(out-degree of `from`).
   void add_transition(StateId from, StateId to, double rate);
 
   [[nodiscard]] std::size_t state_count() const { return states_.size(); }
   [[nodiscard]] std::size_t transient_count() const;
   [[nodiscard]] std::size_t absorbing_count() const;
   [[nodiscard]] const State& state(StateId id) const;
+  /// Every transition once, in order of first occurrence.
   [[nodiscard]] const std::vector<Transition>& transitions() const {
     return transitions_;
   }
@@ -79,8 +81,21 @@ class Chain {
   [[nodiscard]] std::string validate() const;
 
  private:
-  std::vector<State> states_;
+  static constexpr std::size_t kNoTransition = ~std::size_t{0};
+
+  // The transitions out of each state are threaded as a list through
+  // transitions_: a state's slot heads its list, and next_out_[t] links
+  // transition t to the next one out of the same state. The lists serve
+  // only add_transition's duplicate lookup; nothing iterates them for
+  // output.
+  struct Slot {
+    State state;
+    std::size_t first_out = kNoTransition;
+  };
+
+  std::vector<Slot> states_;
   std::vector<Transition> transitions_;
+  std::vector<std::size_t> next_out_;
 };
 
 }  // namespace nsrel::ctmc

@@ -2,12 +2,15 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "combinat/critical_sets.hpp"
 #include "ctmc/absorbing.hpp"
+#include "obs/probe_names.hpp"
+#include "obs/trace.hpp"
 #include "util/assert.hpp"
+#include "util/error.hpp"
 #include "util/math.hpp"
 
 namespace nsrel::models {
@@ -39,34 +42,44 @@ ctmc::Chain InternalRaidNodeModel::chain() const {
   const double lam = params_.node_failure.value() + params_.array_failure.value();
   const double mu = params_.node_rebuild.value();
   const double sector = critical_factor() * params_.sector_error.value();
-
-  ctmc::Chain c;
-  std::vector<ctmc::StateId> degraded(static_cast<std::size_t>(t) + 1);
-  for (int i = 0; i <= t; ++i) {
-    degraded[static_cast<std::size_t>(i)] =
-        c.add_state(std::to_string(i) + "_nodes_lost");
+  // Rates that overflow leave no finite generator to solve: a typed
+  // error, as the solvers report a singular one, not a trip of
+  // add_transition's finite-rate precondition. No failure rate exceeds
+  // N(lambda + k_t lambda_S) and no repair rate t mu.
+  if (!std::isfinite(static_cast<double>(n) * (lam + sector)) ||
+      !std::isfinite(static_cast<double>(t) * mu)) {
+    throw ErrorException(Error{ErrorCode::kSingularGenerator,
+                               "models.internal_raid",
+                               "a transition rate overflows to infinity"});
   }
+
+  obs::Span span(obs::probe::kSpanChainBuild, obs::probe::kSpanCategoryModels);
+  ctmc::Chain c;
+  // Ids are dense in insertion order: state i is "i nodes lost".
+  const auto degraded = [](int i) { return static_cast<ctmc::StateId>(i); };
+  for (int i = 0; i <= t; ++i) c.add_state(std::to_string(i) + "_nodes_lost");
   const ctmc::StateId loss =
       c.add_state("data_loss", ctmc::StateKind::kAbsorbing);
 
   for (int i = 0; i < t; ++i) {
-    c.add_transition(degraded[static_cast<std::size_t>(i)],
-                     degraded[static_cast<std::size_t>(i) + 1],
+    c.add_transition(degraded(i), degraded(i + 1),
                      static_cast<double>(n - i) * lam);
   }
   // Beyond tolerance: node/array failure, or a hard error striking one of
   // the critical redundancy sets during the in-progress rebuild.
-  c.add_transition(degraded[static_cast<std::size_t>(t)], loss,
+  c.add_transition(degraded(t), loss,
                    static_cast<double>(n - t) * (lam + sector));
   for (int i = 1; i <= t; ++i) {
     const double repair_rate =
         params_.repair_policy == RepairPolicy::kConcurrent
             ? static_cast<double>(i) * mu
             : mu;
-    c.add_transition(degraded[static_cast<std::size_t>(i)],
-                     degraded[static_cast<std::size_t>(i) - 1], repair_rate);
+    c.add_transition(degraded(i), degraded(i - 1), repair_rate);
   }
   NSREL_ENSURES(c.validate().empty());
+  span.arg("states", static_cast<std::uint64_t>(c.state_count()));
+  span.arg("transitions",
+           static_cast<std::uint64_t>(c.transitions().size()));
   return c;
 }
 

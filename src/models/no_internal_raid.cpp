@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -11,7 +10,10 @@
 #include "ctmc/absorbing.hpp"
 #include "ctmc/elimination.hpp"
 #include "linalg/sparse/sparse_matrix.hpp"
+#include "obs/probe_names.hpp"
+#include "obs/trace.hpp"
 #include "util/assert.hpp"
+#include "util/error.hpp"
 #include "util/math.hpp"
 
 namespace nsrel::models {
@@ -31,38 +33,60 @@ std::string word_label(const FailureWord& word, int fault_tolerance) {
   return label.empty() ? "0" : label;
 }
 
+/// Id of the state of `word` with the failure at position `skip` removed
+/// (none by default). States are numbered in preorder: "A" is 0, the
+/// root 1, and a depth-i state's N child follows it directly while its d
+/// child follows the N child's whole subtree of 2^(k-i) - 1 states.
+ctmc::StateId word_id(const FailureWord& word, int fault_tolerance,
+                      std::size_t skip = ~std::size_t{0}) {
+  ctmc::StateId id = 1;
+  int depth = 0;
+  for (std::size_t i = 0; i < word.size(); ++i) {
+    if (i == skip) continue;
+    id += word[i] == FailureKind::kNode
+              ? 1
+              : ctmc::StateId{1} << (fault_tolerance - depth);
+    ++depth;
+  }
+  return id;
+}
+
 /// Recursive chain builder. Adds the subtree rooted at `prefix` (root
 /// first, then the N-subtree, then the d-subtree — the appendix's block
 /// order) and returns the subtree root id. Failure and absorbing edges
 /// are added during the walk; repair edges are added afterwards by
-/// `add_repairs`, because the concurrent policy connects states across
-/// subtrees (removing a MIDDLE failure from the word).
+/// `add_repairs`, a second walk in the same order, because the
+/// concurrent policy connects states across subtrees (removing a MIDDLE
+/// failure from the word).
 class ChainBuilder {
  public:
   ChainBuilder(ctmc::Chain& chain, ctmc::StateId loss,
                const NoInternalRaidParams& p, const combinat::HParams& hp)
       : chain_(chain), loss_(loss), params_(p), h_params_(hp) {}
 
-  void add_repairs() {
+  void add_repairs(FailureWord& word) {
+    const int k = params_.fault_tolerance;
     const double mu_n = params_.node_rebuild.value();
     const double mu_d = params_.drive_rebuild.value();
-    for (const auto& [word, id] : ids_) {
-      if (word.empty()) continue;
-      if (params_.repair_policy == RepairPolicy::kSingle) {
-        FailureWord parent(word.begin(), word.end() - 1);
+    if (!word.empty()) {
+      // Single repair undoes the last failure only; concurrent repair
+      // undoes any one of them.
+      const std::size_t first =
+          params_.repair_policy == RepairPolicy::kSingle ? word.size() - 1
+                                                         : 0;
+      const ctmc::StateId id = word_id(word, k);
+      for (std::size_t i = first; i < word.size(); ++i) {
         chain_.add_transition(
-            id, ids_.at(parent),
-            word.back() == FailureKind::kNode ? mu_n : mu_d);
-      } else {
-        for (std::size_t i = 0; i < word.size(); ++i) {
-          FailureWord reduced = word;
-          reduced.erase(reduced.begin() + static_cast<long>(i));
-          chain_.add_transition(
-              id, ids_.at(reduced),
-              word[i] == FailureKind::kNode ? mu_n : mu_d);
-        }
+            id, word_id(word, k, i),
+            word[i] == FailureKind::kNode ? mu_n : mu_d);
       }
     }
+    if (static_cast<int>(word.size()) == k) return;
+    word.push_back(FailureKind::kNode);
+    add_repairs(word);
+    word.back() = FailureKind::kDrive;
+    add_repairs(word);
+    word.pop_back();
   }
 
   ctmc::StateId build(FailureWord& prefix) {
@@ -75,7 +99,7 @@ class ChainBuilder {
                               params_.drive_failure.value();
 
     const ctmc::StateId root = chain_.add_state(word_label(prefix, k));
-    ids_.emplace(prefix, root);
+    NSREL_ASSERT(root == word_id(prefix, k));
 
     if (depth == k) {
       // Fully degraded: any further failure in the node set loses data.
@@ -120,7 +144,6 @@ class ChainBuilder {
   ctmc::StateId loss_;
   const NoInternalRaidParams& params_;
   const combinat::HParams& h_params_;
-  std::map<FailureWord, ctmc::StateId> ids_;
 };
 
 /// Appendix block recursion for R^(k), emitted as triplets at offset
@@ -230,17 +253,36 @@ combinat::HParams NoInternalRaidModel::h_params() const {
 }
 
 ctmc::Chain NoInternalRaidModel::chain() const {
+  // Rates that overflow leave no finite generator to solve: a typed
+  // error, as the solvers report a singular one, not a trip of
+  // add_transition's finite-rate precondition. No failure rate exceeds
+  // N(lambda_N + d lambda_d) and no (merged) repair rate k max(mu).
+  const double k = params_.fault_tolerance;
+  if (!std::isfinite(static_cast<double>(params_.node_set_size) *
+                     (params_.node_failure.value() +
+                      static_cast<double>(params_.drives_per_node) *
+                          params_.drive_failure.value())) ||
+      !std::isfinite(k * params_.node_rebuild.value()) ||
+      !std::isfinite(k * params_.drive_rebuild.value())) {
+    throw ErrorException(Error{ErrorCode::kSingularGenerator,
+                               "models.no_internal_raid",
+                               "a transition rate overflows to infinity"});
+  }
+  obs::Span span(obs::probe::kSpanChainBuild, obs::probe::kSpanCategoryModels);
   ctmc::Chain c;
   const ctmc::StateId loss = c.add_state("A", ctmc::StateKind::kAbsorbing);
   const combinat::HParams hp = h_params();
   ChainBuilder builder(c, loss, params_, hp);
   FailureWord prefix;
   const ctmc::StateId root = builder.build(prefix);
-  builder.add_repairs();
+  builder.add_repairs(prefix);
   NSREL_ENSURES(root == root_state());
   NSREL_ENSURES(c.state_count() ==
                 (std::size_t{2} << params_.fault_tolerance));
   NSREL_ENSURES(c.validate().empty());
+  span.arg("states", static_cast<std::uint64_t>(c.state_count()));
+  span.arg("transitions",
+           static_cast<std::uint64_t>(c.transitions().size()));
   return c;
 }
 

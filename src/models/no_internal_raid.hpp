@@ -49,10 +49,10 @@ class NoInternalRaidModel {
  public:
   /// Preconditions: k >= 1, k < R <= N, N > k, d >= 1, rates > 0,
   /// fault_tolerance <= 16. The absorption matrix has 2^(k+1)-1 states
-  /// (131071 at the k=16 cap), which the sparse elimination carries in
-  /// O(n), so the cap is real on the recursive-matrix route. The labeled
-  /// chain() and mttdl_exact() remain practical to ~k=12 (chain assembly
-  /// cost, not solve cost, dominates beyond that).
+  /// (131071 at the k=16 cap). Both chain() and the recursive matrix are
+  /// assembled in time linear in the transitions, and the sparse
+  /// elimination solves either in O(n), so every k up to the cap is
+  /// practical on both routes.
   explicit NoInternalRaidModel(const NoInternalRaidParams& params);
 
   [[nodiscard]] const NoInternalRaidParams& params() const { return params_; }

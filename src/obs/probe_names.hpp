@@ -76,6 +76,7 @@ inline constexpr const char* kSpanCategorySim = "sim";
 inline constexpr const char* kSpanCategoryCtmc = "ctmc";
 inline constexpr const char* kSpanCategoryReport = "report";
 inline constexpr const char* kSpanCategoryRepair = "repair";
+inline constexpr const char* kSpanCategoryModels = "models";
 
 inline constexpr const char* kSpanSolve = "solve";
 /// CTMC solver spans, each tagged with a "states" arg. Each solve has a
@@ -84,6 +85,9 @@ inline constexpr const char* kSpanSolve = "solve";
 inline constexpr const char* kSpanEliminationSolve = "elimination_solve";
 inline constexpr const char* kSpanAbsorbingSolve = "absorbing_solve";
 inline constexpr const char* kSpanStationarySolve = "stationary_solve";
+/// A model's Markov-chain assembly, NoInternalRaidModel::chain() or
+/// InternalRaidNodeModel::chain() (args: states, transitions).
+inline constexpr const char* kSpanChainBuild = "chain_build";
 inline constexpr const char* kSpanEvaluate = "evaluate";
 /// One engine grid cell (args: cell, point, config = configuration
 /// index, outcome).

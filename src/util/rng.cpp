@@ -53,12 +53,6 @@ double Xoshiro256::uniform() {
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
-double Xoshiro256::uniform_positive() {
-  double u = uniform();
-  while (u == 0.0) u = uniform();
-  return u;
-}
-
 double Xoshiro256::exponential(double rate) {
   NSREL_EXPECTS(rate > 0.0);
   return -std::log1p(-uniform()) / rate;

@@ -38,9 +38,6 @@ class Xoshiro256 {
   /// Uniform double in [0, 1).
   [[nodiscard]] double uniform();
 
-  /// Uniform double in [0, 1) that is never exactly 0 (safe for log()).
-  [[nodiscard]] double uniform_positive();
-
   /// Exponential variate with the given rate (> 0).
   [[nodiscard]] double exponential(double rate);
 

@@ -107,7 +107,6 @@ inline constexpr double kHoursPerYear = 24.0 * 365.25;
 [[nodiscard]] constexpr Bytes gigabytes(double v) {
   return Bytes(v * 1e9);  // drive vendors (and the paper) use decimal GB
 }
-[[nodiscard]] constexpr Bytes terabytes(double v) { return Bytes(v * 1e12); }
 [[nodiscard]] constexpr Bytes petabytes(double v) { return Bytes(v * 1e15); }
 [[nodiscard]] constexpr BitsPerSecond gigabits_per_second(double v) {
   return BitsPerSecond(v * 1e9);

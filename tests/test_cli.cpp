@@ -134,6 +134,8 @@ TEST(Dispatch, OutOfDomainFlagsAreTypedUsageErrorsNamingTheFlag) {
       {{"availability", "--restore-hours", "-1"}, "--restore-hours"},
       {{"availability", "--restore-hours", "0"}, "--restore-hours"},
       {{"availability", "--restore-hours", "inf"}, "--restore-hours"},
+      // Positive and finite, but its reciprocal (the restore rate) is not.
+      {{"availability", "--restore-hours", "1e-320"}, "--restore-hours"},
   };
   for (const auto& c : cases) {
     const CommandResult result = run_argv(c.argv);
@@ -327,6 +329,44 @@ TEST(Dispatch, AvailabilityBothFamilies) {
   EXPECT_NE(nir.out.find("availability:"), std::string::npos);
   const auto ir = run({"availability", "--scheme", "raid5", "--ft", "2"});
   EXPECT_EQ(ir.exit_code, 0) << ir.err;
+}
+
+TEST(Dispatch, AvailabilityRestoreTimeStaysReadable) {
+  const auto hours = [](const char* restore) {
+    const auto result = run({"availability", "--scheme", "none", "--ft", "2",
+                             "--restore-hours", restore});
+    EXPECT_EQ(result.exit_code, 0) << result.err;
+    const auto line = result.out.find("restore time:");
+    return line == std::string::npos
+               ? std::string()
+               : result.out.substr(line, result.out.find('\n', line) - line);
+  };
+  EXPECT_EQ(hours("2000"), "restore time:        2000.0 h");
+  EXPECT_EQ(hours("999999"), "restore time:        999999.0 h");
+  EXPECT_EQ(hours("1e6"), "restore time:        1.00e+06 h");
+  EXPECT_EQ(hours("1e300"), "restore time:        1.00e+300 h");
+}
+
+TEST(Dispatch, ChainAndAvailabilityRejectOutOfDomainFaultTolerance) {
+  const std::initializer_list<const char*> cases[] = {
+      {"chain", "--scheme", "none", "--ft", "20"},
+      {"chain", "--scheme", "none", "--ft", "8"},  // not below --r 8
+      {"chain", "--scheme", "none", "--ft", "17", "--r", "20"},
+      {"chain", "--scheme", "raid5", "--ft", "0"},
+      {"availability", "--scheme", "none", "--ft", "20"},
+      {"availability", "--scheme", "raid6", "--ft", "8"},
+  };
+  for (const auto& argv : cases) {
+    const CommandResult result = run_argv(argv);
+    EXPECT_EQ(result.exit_code, kExitUsage) << *argv.begin();
+    EXPECT_TRUE(result.out.empty()) << result.out;
+    EXPECT_NE(result.err.find("error: core.analyzer: invalid_parameter: "
+                              "node fault tolerance"),
+              std::string::npos)
+        << result.err;
+    EXPECT_EQ(result.err.find("precondition failed"), std::string::npos)
+        << result.err;
+  }
 }
 
 TEST(Dispatch, ChainEmitsDot) {

@@ -204,6 +204,25 @@ TEST(Analyzer, TryAnalyzeReportsOutOfRangeFaultToleranceAsInvalidParameter) {
   }
 }
 
+TEST(Analyzer, TryBuildChainSharesTheFaultToleranceCheck) {
+  const Analyzer analyzer(SystemConfig::baseline());
+  for (const Configuration config :
+       {Configuration{InternalScheme::kNone, 0},
+        Configuration{InternalScheme::kNone, 8},
+        Configuration{InternalScheme::kRaid5, 8}}) {
+    const auto built = analyzer.try_build_chain(config);
+    ASSERT_FALSE(built.has_value()) << name(config);
+    const auto analyzed = analyzer.try_analyze(config);
+    ASSERT_FALSE(analyzed.has_value());
+    EXPECT_EQ(built.error().code, ErrorCode::kInvalidParameter);
+    EXPECT_EQ(built.error().message(), analyzed.error().message());
+  }
+  const auto built = analyzer.try_build_chain({InternalScheme::kNone, 2});
+  ASSERT_TRUE(built.has_value()) << built.error().message();
+  EXPECT_EQ(built.value().chain.state_count(), 8u);
+  EXPECT_EQ(built.value().healthy, 1u);
+}
+
 TEST(Analyzer, TryAnalyzeRejectsFaultToleranceAboveTheNirCap) {
   // Without internal RAID the chain has 2^(k+1) states; the analyzer
   // refuses k > 16 with a typed error instead of letting the model
@@ -218,13 +237,12 @@ TEST(Analyzer, TryAnalyzeRejectsFaultToleranceAboveTheNirCap) {
   EXPECT_EQ(outcome.error().layer, "core.analyzer");
   EXPECT_NE(outcome.error().detail.find("above 16"), std::string::npos)
       << outcome.error().detail;
-  // Below the cap but above the dense 4096-state ceiling (k = 12 is an
-  // 8191-state chain) the analyzer accepts and the sparse path solves.
-  // k = 16 itself also solves but chain assembly makes it a multi-minute
-  // test; the model-level cap-boundary test covers it on the recursive
-  // matrix route.
-  const auto above_dense = analyzer.try_analyze({InternalScheme::kNone, 12});
-  EXPECT_TRUE(above_dense.has_value()) << above_dense.error().message();
+  // Up to the cap the analyzer accepts and solves the labelled chain:
+  // k = 16 is a 131072-state chain, assembled in linear time.
+  for (const int ft : {12, 16}) {
+    const auto solved = analyzer.try_analyze({InternalScheme::kNone, ft});
+    EXPECT_TRUE(solved.has_value()) << solved.error().message();
+  }
 }
 
 TEST(Analyzer, TryAnalyzeFlagsDegenerateSweepEndpointsWithoutThrowing) {

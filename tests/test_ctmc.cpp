@@ -65,12 +65,41 @@ TEST(Chain, ParallelTransitionsAccumulate) {
   EXPECT_DOUBLE_EQ(c.exit_rate(a), 3.0);
 }
 
+TEST(Chain, NonAdjacentDuplicatesMergeIntoTheFirstOccurrence) {
+  Chain c;
+  const StateId a = c.add_state("a");
+  const StateId b = c.add_state("b", StateKind::kAbsorbing);
+  const StateId d = c.add_state("c", StateKind::kAbsorbing);
+  const double r1 = 0.1;
+  const double r3 = 0.2;
+  const double r4 = 0.3;
+  c.add_transition(a, b, r1);
+  c.add_transition(a, d, 0.5);
+  c.add_transition(a, b, r3);
+  const auto& transitions = c.transitions();
+  ASSERT_EQ(transitions.size(), 2u);
+  EXPECT_EQ(transitions[0].from, a);
+  EXPECT_EQ(transitions[0].to, b);
+  EXPECT_EQ(transitions[1].from, a);
+  EXPECT_EQ(transitions[1].to, d);
+  EXPECT_EQ(transitions[0].rate, r1 + r3);
+  EXPECT_EQ(transitions[1].rate, 0.5);
+  // Accumulated in call order: (r1 + r3) + r4, which is one ulp away
+  // from r1 + (r3 + r4).
+  c.add_transition(a, b, r4);
+  ASSERT_EQ(transitions.size(), 2u);
+  EXPECT_EQ(transitions[0].rate, (r1 + r3) + r4);
+  EXPECT_NE(transitions[0].rate, r1 + (r3 + r4));
+}
+
 TEST(Chain, RejectsInvalidTransitions) {
   Chain c;
   const StateId a = c.add_state("a");
   const StateId b = c.add_state("b", StateKind::kAbsorbing);
   EXPECT_THROW(c.add_transition(a, b, 0.0), ContractViolation);
   EXPECT_THROW(c.add_transition(a, b, -1.0), ContractViolation);
+  EXPECT_THROW(c.add_transition(a, b, HUGE_VAL), ContractViolation);
+  EXPECT_THROW(c.add_transition(a, b, std::nan("")), ContractViolation);
   EXPECT_THROW(c.add_transition(a, a, 1.0), ContractViolation);
   EXPECT_THROW(c.add_transition(b, a, 1.0), ContractViolation);  // absorbing
   EXPECT_THROW(c.add_transition(a, 99, 1.0), ContractViolation);

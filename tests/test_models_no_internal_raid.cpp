@@ -6,12 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "ctmc/absorbing.hpp"
+#include "ctmc/dot.hpp"
 #include "linalg/sparse/sparse_matrix.hpp"
 #include "models/no_internal_raid.hpp"
 #include "util/assert.hpp"
+#include "util/error.hpp"
 
 namespace nsrel::models {
 namespace {
@@ -65,34 +70,78 @@ TEST(NoInternalRaid, Ft1ChainMatchesFigure8Structure) {
                                               p.node_rebuild.value());
 }
 
+/// baseline(k) with the redundancy set widened to 20 from k = 8 on, so
+/// that R > k holds up to the k = 16 cap.
+NoInternalRaidParams up_to_cap(int k) {
+  NoInternalRaidParams p = baseline(k);
+  if (k >= 8) p.redundancy_set_size = 20;
+  return p;
+}
+
 TEST(NoInternalRaid, ChainAndRecursiveMatrixAgreeEntrywise) {
   // The two independent constructions (labeled transition tree vs the
-  // appendix's block recursion) must produce the same absorption matrix.
-  for (int k = 1; k <= 4; ++k) {
-    const NoInternalRaidModel model(baseline(k));
+  // appendix's block recursion) must produce the same absorption matrix:
+  // the same CSR structure, and values within rounding.
+  for (int k = 1; k <= 16; ++k) {
+    const NoInternalRaidModel model(up_to_cap(k));
     const auto from_chain = model.chain().absorption_matrix();
     const auto from_recursion = model.absorption_matrix_recursive_sparse();
     ASSERT_EQ(from_chain.rows(), from_recursion.rows()) << "k=" << k;
+    ASSERT_EQ(from_chain.row_ptr(), from_recursion.row_ptr()) << "k=" << k;
+    ASSERT_EQ(from_chain.col_index(), from_recursion.col_index())
+        << "k=" << k;
     double scale = 0.0;
     for (const double v : from_chain.values()) {
       scale = std::max(scale, std::abs(v));
     }
-    for (std::size_t i = 0; i < from_chain.rows(); ++i) {
-      for (std::size_t j = 0; j < from_chain.cols(); ++j) {
-        EXPECT_NEAR(from_chain.at(i, j), from_recursion.at(i, j),
-                    1e-12 * scale)
-            << "k=" << k << " (" << i << "," << j << ")";
-      }
+    for (std::size_t e = 0; e < from_chain.values().size(); ++e) {
+      EXPECT_NEAR(from_chain.values()[e], from_recursion.values()[e],
+                  1e-12 * scale)
+          << "k=" << k << " entry " << e;
     }
   }
 }
 
 TEST(NoInternalRaid, ExactAndRecursiveMatrixMttdlAgree) {
-  for (int k = 1; k <= 5; ++k) {
-    const NoInternalRaidModel model(baseline(k));
+  for (int k = 1; k <= 16; ++k) {
+    const NoInternalRaidModel model(up_to_cap(k));
     const double via_chain = model.mttdl_exact().value();
     const double via_matrix = model.mttdl_recursive_matrix().value();
     EXPECT_NEAR(via_chain, via_matrix, 1e-8 * via_chain) << "k=" << k;
+  }
+}
+
+TEST(NoInternalRaid, ConcurrentRepairChainMatchesGolden) {
+  // Concurrent repair is the policy whose chain has parallel
+  // transitions to merge: undoing either of two equal adjacent failures
+  // reaches the same word. The golden pins the transition order and
+  // every merged rate to the last bit (17 significant digits).
+  // Regenerate it with the DOT of this chain, graph name and options as
+  // below, written to tests/golden/nir_ft4_concurrent.dot.
+  NoInternalRaidParams p = baseline(4);
+  p.repair_policy = RepairPolicy::kConcurrent;
+  ctmc::DotOptions options;
+  options.graph_name = "nir_ft4_concurrent";
+  options.rate_digits = 17;
+  const std::string dot =
+      ctmc::to_dot(NoInternalRaidModel(p).chain(), options);
+  std::ifstream golden_file(std::string(NSREL_SOURCE_DIR) +
+                            "/tests/golden/nir_ft4_concurrent.dot");
+  ASSERT_TRUE(golden_file.good());
+  std::ostringstream golden;
+  golden << golden_file.rdbuf();
+  EXPECT_EQ(dot, golden.str());
+}
+
+TEST(NoInternalRaid, OverflowingRatesAreATypedErrorNotAContractTrip) {
+  NoInternalRaidParams p = baseline(2);
+  p.drive_failure = PerHour(1e307);  // d lambda_d overflows
+  try {
+    (void)NoInternalRaidModel(p).chain();
+    FAIL() << "chain() accepted an infinite rate";
+  } catch (const ErrorException& e) {
+    EXPECT_EQ(e.error().code, ErrorCode::kSingularGenerator);
+    EXPECT_EQ(e.error().layer, "models.no_internal_raid");
   }
 }
 
