@@ -1,6 +1,7 @@
 // --json-out support for the google-benchmark perf binaries: a reporter
 // that mirrors every run into nsrel-bench-v1 entries while delegating the
-// normal console output, plus the shared main() body. Console output is
+// display to google-benchmark's own reporter for --benchmark_format
+// (console, json or csv), plus the shared main() body. The display is
 // unchanged whether or not --json-out is given.
 //
 // --events FILE additionally arms the flight recorder around the runs
@@ -23,11 +24,20 @@
 
 namespace nsrel::bench {
 
-/// ConsoleReporter subclass that captures each Run before printing it
-/// normally. Per-iteration real/cpu time is accumulated_time/iterations
-/// in seconds, converted to ns for the schema.
-class CaptureReporter : public benchmark::ConsoleReporter {
+/// Reporter that captures each Run and forwards every call to the
+/// display reporter --benchmark_format selects. Per-iteration real/cpu
+/// time is accumulated_time/iterations in seconds, converted to ns for
+/// the schema.
+class CaptureReporter : public benchmark::BenchmarkReporter {
  public:
+  /// `display` is owned by google-benchmark and outlives the runs.
+  explicit CaptureReporter(benchmark::BenchmarkReporter* display)
+      : display_(display) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const Run& run : reports) {
       if (run.error_occurred) continue;
@@ -44,14 +54,17 @@ class CaptureReporter : public benchmark::ConsoleReporter {
       }
       entries_.push_back(std::move(entry));
     }
-    ConsoleReporter::ReportRuns(reports);
+    display_->ReportRuns(reports);
   }
+
+  void Finalize() override { display_->Finalize(); }
 
   [[nodiscard]] const std::vector<BenchEntry>& entries() const {
     return entries_;
   }
 
  private:
+  benchmark::BenchmarkReporter* display_;
   std::vector<BenchEntry> entries_;
 };
 
@@ -80,7 +93,7 @@ inline int perf_main(int argc, char** argv, const std::string& binary) {
     return 1;
   }
   if (!events_path.empty()) obs::Journal::instance().begin();
-  CaptureReporter reporter;
+  CaptureReporter reporter(benchmark::CreateDefaultDisplayReporter());
   benchmark::RunSpecifiedBenchmarks(&reporter);
   if (!events_path.empty()) {
     obs::Journal::instance().disable();

@@ -23,11 +23,10 @@ bool Drive::put(ChunkId id, Chunk chunk) {
   return true;
 }
 
-std::optional<Chunk> Drive::get(ChunkId id) const {
-  if (!alive_) return std::nullopt;
+const Chunk* Drive::get(ChunkId id) const {
+  if (!alive_) return nullptr;
   const auto it = chunks_.find(id);
-  if (it == chunks_.end()) return std::nullopt;
-  return it->second;
+  return it == chunks_.end() ? nullptr : &it->second;
 }
 
 void Drive::drop(ChunkId id) {
@@ -89,9 +88,9 @@ std::optional<int> Node::put(ChunkId id, Chunk chunk) {
   return best;
 }
 
-std::optional<Chunk> Node::get(int drive_index, ChunkId id) const {
+const Chunk* Node::get(int drive_index, ChunkId id) const {
   NSREL_EXPECTS(drive_index >= 0 && drive_index < drive_count());
-  if (!alive_) return std::nullopt;
+  if (!alive_) return nullptr;
   return drives_[static_cast<std::size_t>(drive_index)].get(id);
 }
 

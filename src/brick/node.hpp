@@ -32,8 +32,9 @@ class Drive {
   /// Stores a chunk; returns false when the drive is dead or full.
   bool put(ChunkId id, Chunk chunk);
 
-  /// Reads a chunk; nullopt when dead or absent.
-  [[nodiscard]] std::optional<Chunk> get(ChunkId id) const;
+  /// The stored chunk, read in place; nullptr when dead or absent. The
+  /// pointer stays valid until the next put() or drop() on this drive.
+  [[nodiscard]] const Chunk* get(ChunkId id) const;
 
   /// Removes a chunk (idempotent); frees its space.
   void drop(ChunkId id);
@@ -70,9 +71,9 @@ class Node {
   /// the drive index, or nullopt when the node is dead or full.
   std::optional<int> put(ChunkId id, Chunk chunk);
 
-  /// Reads a chunk from the given drive; nullopt when node/drive dead or
-  /// chunk absent.
-  [[nodiscard]] std::optional<Chunk> get(int drive_index, ChunkId id) const;
+  /// Reads a chunk in place from the given drive; nullptr when node/drive
+  /// dead or chunk absent. Valid until that drive's next put() or drop().
+  [[nodiscard]] const Chunk* get(int drive_index, ChunkId id) const;
 
   void drop(int drive_index, ChunkId id);
 

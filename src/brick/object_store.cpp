@@ -23,6 +23,22 @@ namespace {
 /// the read.
 void count_degraded_read() { obs::emit(obs::event::kBrickDegradedRead); }
 
+/// Indices of the erased shards of a survivor view, ascending.
+std::vector<int> missing_shards(const std::vector<const Chunk*>& view) {
+  std::vector<int> lost;
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    if (view[i] == nullptr) lost.push_back(static_cast<int>(i));
+  }
+  return lost;
+}
+
+/// True when the view holds the k survivors a decode needs.
+bool recoverable(const std::vector<const Chunk*>& view, int data_shards) {
+  const auto survivors = std::count_if(
+      view.begin(), view.end(), [](const Chunk* c) { return c != nullptr; });
+  return survivors >= data_shards;
+}
+
 /// Shared body of the try_* twins: runs `fn`, converting the store's
 /// exception vocabulary into typed Errors (DataLossError -> kDataLoss,
 /// ErrorException -> its payload, ContractViolation -> the usual
@@ -112,15 +128,16 @@ ObjectId ObjectStore::write(const std::vector<std::uint8_t>& bytes) {
   meta.size = bytes.size();
   for (std::size_t s = 0; s < stripe_count; ++s) {
     // Slice this stripe's data into k zero-padded chunks.
-    std::vector<Chunk> data(static_cast<std::size_t>(data_shards),
-                            Chunk(chunk, 0));
-    const std::size_t base = s * stripe_capacity;
-    for (std::size_t i = 0; i < stripe_capacity && base + i < bytes.size();
-         ++i) {
-      data[i / chunk][i % chunk] = bytes[base + i];
+    std::vector<Chunk> shards(static_cast<std::size_t>(data_shards),
+                              Chunk(chunk, 0));
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      const std::size_t begin =
+          std::min(s * stripe_capacity + i * chunk, bytes.size());
+      const std::size_t end = std::min(begin + chunk, bytes.size());
+      std::copy(bytes.begin() + static_cast<long>(begin),
+                bytes.begin() + static_cast<long>(end), shards[i].begin());
     }
-    std::vector<Chunk> shards = data;
-    std::vector<Chunk> parity = code_.encode(data);
+    std::vector<Chunk> parity = code_.encode(shards);
     shards.insert(shards.end(), std::make_move_iterator(parity.begin()),
                   std::make_move_iterator(parity.end()));
 
@@ -141,28 +158,15 @@ ObjectId ObjectStore::write(const std::vector<std::uint8_t>& bytes) {
   return id;
 }
 
-bool ObjectStore::shard_available(const ShardLocation& loc) const {
-  const Node& n = nodes_[static_cast<std::size_t>(loc.node)];
-  return n.alive() && n.drive(loc.drive).alive() &&
-         n.get(loc.drive, loc.chunk).has_value();
+const Chunk* ObjectStore::fetch(const ShardLocation& loc) const {
+  return nodes_[static_cast<std::size_t>(loc.node)].get(loc.drive, loc.chunk);
 }
 
-std::pair<std::vector<Chunk>, std::vector<bool>> ObjectStore::gather(
-    const Stripe& stripe) const {
-  const auto chunk = static_cast<std::size_t>(params_.chunk_size.value());
-  std::vector<Chunk> shards(stripe.shards.size(), Chunk(chunk, 0));
-  std::vector<bool> present(stripe.shards.size(), false);
-  for (std::size_t i = 0; i < stripe.shards.size(); ++i) {
-    const ShardLocation& loc = stripe.shards[i];
-    const Node& n = nodes_[static_cast<std::size_t>(loc.node)];
-    if (!n.alive()) continue;
-    const std::optional<Chunk> data = n.get(loc.drive, loc.chunk);
-    if (data.has_value()) {
-      shards[i] = *data;
-      present[i] = true;
-    }
-  }
-  return {std::move(shards), std::move(present)};
+std::vector<const Chunk*> ObjectStore::gather(const Stripe& stripe) const {
+  std::vector<const Chunk*> view;
+  view.reserve(stripe.shards.size());
+  for (const ShardLocation& loc : stripe.shards) view.push_back(fetch(loc));
+  return view;
 }
 
 std::vector<std::uint8_t> ObjectStore::read(ObjectId id) const {
@@ -175,30 +179,30 @@ std::vector<std::uint8_t> ObjectStore::read(ObjectId id) const {
   std::vector<std::uint8_t> bytes;
   bytes.reserve(meta.size);
   for (const Stripe& stripe : meta.stripes) {
-    auto [shards, present] = gather(stripe);
-    if (!code_.recoverable(present)) {
+    const std::vector<const Chunk*> view = gather(stripe);
+    if (!recoverable(view, code_.data_shards())) {
       throw DataLossError("object " + std::to_string(id) +
                           ": a stripe lost more shards than the code "
                           "tolerates");
     }
-    const bool all_data_present = [&] {
-      for (int i = 0; i < data_shards; ++i) {
-        if (!present[static_cast<std::size_t>(i)]) return false;
-      }
-      return true;
-    }();
+    std::vector<int> lost_data;
+    for (int i = 0; i < data_shards; ++i) {
+      if (view[static_cast<std::size_t>(i)] == nullptr) lost_data.push_back(i);
+    }
     io_stats_.chunk_reads += static_cast<std::uint64_t>(data_shards);
-    if (!all_data_present) {
+    std::vector<Chunk> decoded;
+    if (!lost_data.empty()) {
       ++io_stats_.decode_operations;
       count_degraded_read();
+      decoded = code_.decode(view, lost_data);
     }
-    const std::vector<Chunk> full =
-        all_data_present ? shards : code_.reconstruct(shards, present);
+    auto next_decoded = decoded.begin();
     for (int i = 0; i < data_shards; ++i) {
-      const Chunk& piece = full[static_cast<std::size_t>(i)];
-      for (std::size_t b = 0; b < chunk && bytes.size() < meta.size; ++b) {
-        bytes.push_back(piece[b]);
-      }
+      const Chunk* stored = view[static_cast<std::size_t>(i)];
+      const Chunk& piece = stored != nullptr ? *stored : *next_decoded++;
+      const std::size_t take = std::min(chunk, meta.size - bytes.size());
+      bytes.insert(bytes.end(), piece.begin(),
+                   piece.begin() + static_cast<long>(take));
     }
   }
   NSREL_ENSURES(bytes.size() == meta.size);
@@ -231,16 +235,15 @@ std::vector<std::uint8_t> ObjectStore::read_range(ObjectId id,
         std::min(chunk - within_chunk, end - cursor);
 
     const Stripe& stripe = meta.stripes[stripe_index];
-    const ShardLocation& loc = stripe.shards[shard_index];
-    Chunk piece;
-    if (shard_available(loc)) {
-      piece = *nodes_[static_cast<std::size_t>(loc.node)].get(loc.drive,
-                                                              loc.chunk);
+    const Chunk* piece = fetch(stripe.shards[shard_index]);
+    std::vector<Chunk> decoded;
+    if (piece != nullptr) {
       ++io_stats_.chunk_reads;
     } else {
-      // Degraded read: fetch any k survivors of the stripe and decode.
-      auto [shards, present] = gather(stripe);
-      if (!code_.recoverable(present)) {
+      // Degraded read: fetch k survivors of the stripe and decode only
+      // the shard this read serves.
+      const std::vector<const Chunk*> view = gather(stripe);
+      if (!recoverable(view, code_.data_shards())) {
         throw DataLossError("object " + std::to_string(id) +
                             ": a stripe lost more shards than the code "
                             "tolerates");
@@ -248,12 +251,13 @@ std::vector<std::uint8_t> ObjectStore::read_range(ObjectId id,
       io_stats_.chunk_reads += data_shards;
       ++io_stats_.decode_operations;
       count_degraded_read();
-      const std::vector<Chunk> full = code_.reconstruct(shards, present);
-      piece = full[shard_index];
+      const int wanted = static_cast<int>(shard_index);
+      decoded = code_.decode(view, {&wanted, 1});
+      piece = &decoded.front();
     }
     bytes.insert(bytes.end(),
-                 piece.begin() + static_cast<long>(within_chunk),
-                 piece.begin() + static_cast<long>(within_chunk + take));
+                 piece->begin() + static_cast<long>(within_chunk),
+                 piece->begin() + static_cast<long>(within_chunk + take));
     cursor += take;
   }
   io_stats_.logical_bytes += static_cast<double>(length);
@@ -276,33 +280,30 @@ RebuildReport ObjectStore::rebuild() {
   for (auto& [object_id, meta] : objects_) {
     for (Stripe& stripe : meta.stripes) {
       // Which shards are gone?
-      std::vector<std::size_t> lost;
-      for (std::size_t i = 0; i < stripe.shards.size(); ++i) {
-        if (!shard_available(stripe.shards[i])) lost.push_back(i);
-      }
+      const std::vector<const Chunk*> view = gather(stripe);
+      const std::vector<int> lost = missing_shards(view);
       if (lost.empty()) continue;
-
-      auto [shards, present] = gather(stripe);
-      if (!code_.recoverable(present)) {
+      if (!recoverable(view, code_.data_shards())) {
         throw DataLossError("stripe of object " + std::to_string(object_id) +
                             " is beyond recovery");
       }
       // Account the R-t survivor reads the decode consumes.
       int inputs_counted = 0;
       for (std::size_t i = 0;
-           i < present.size() && inputs_counted < code_.data_shards(); ++i) {
-        if (!present[i]) continue;
+           i < view.size() && inputs_counted < code_.data_shards(); ++i) {
+        if (view[i] == nullptr) continue;
         report.sourced_bytes[stripe.shards[i].node] += chunk_bytes;
         ++inputs_counted;
       }
-      const std::vector<Chunk> full = code_.reconstruct(shards, present);
+      std::vector<Chunk> decoded = code_.decode(view, lost);
 
       // Re-place each lost shard on a live node outside the stripe.
-      for (const std::size_t i : lost) {
+      for (std::size_t l = 0; l < lost.size(); ++l) {
+        const auto i = static_cast<std::size_t>(lost[l]);
         std::vector<bool> occupied(
             static_cast<std::size_t>(params_.node_count), false);
         for (std::size_t j = 0; j < stripe.shards.size(); ++j) {
-          if (j != i && shard_available(stripe.shards[j])) {
+          if (j != i && fetch(stripe.shards[j]) != nullptr) {
             occupied[static_cast<std::size_t>(stripe.shards[j].node)] = true;
           }
         }
@@ -326,7 +327,8 @@ RebuildReport ObjectStore::rebuild() {
         }
         const ChunkId new_chunk = next_chunk_++;
         const std::optional<int> drive =
-            nodes_[static_cast<std::size_t>(target)].put(new_chunk, full[i]);
+            nodes_[static_cast<std::size_t>(target)].put(
+                new_chunk, std::move(decoded[l]));
         NSREL_ASSERT(drive.has_value());
         stripe.shards[i] = ShardLocation{target, *drive, new_chunk};
         report.received_bytes[target] += chunk_bytes;
@@ -353,7 +355,7 @@ std::vector<StripeRef> ObjectStore::degraded_stripes() const {
     for (std::size_t s = 0; s < meta.stripes.size(); ++s) {
       const Stripe& stripe = meta.stripes[s];
       for (const ShardLocation& loc : stripe.shards) {
-        if (!shard_available(loc)) {
+        if (fetch(loc) == nullptr) {
           result.push_back(
               StripeRef{object_id, static_cast<std::uint32_t>(s)});
           break;
@@ -373,7 +375,7 @@ StripeStatus ObjectStore::stripe_status(const StripeRef& ref) const {
   status.shards = stripe.shards;
   status.available.reserve(stripe.shards.size());
   for (const ShardLocation& loc : stripe.shards) {
-    status.available.push_back(shard_available(loc));
+    status.available.push_back(fetch(loc) != nullptr);
   }
   return status;
 }
@@ -383,18 +385,14 @@ StripeStatus ObjectStore::stripe_status(const StripeRef& ref) const {
   const auto it = objects_.find(ref.object);
   NSREL_EXPECTS(it != objects_.end());
   NSREL_EXPECTS(ref.stripe < it->second.stripes.size());
-  const Stripe& stripe = it->second.stripes[ref.stripe];
-  auto [shards, present] = gather(stripe);
-  if (!code_.recoverable(present)) {
+  const std::vector<const Chunk*> view = gather(it->second.stripes[ref.stripe]);
+  if (!recoverable(view, code_.data_shards())) {
     return Error{ErrorCode::kDataLoss, "brick.store",
                  "stripe " + std::to_string(ref.stripe) + " of object " +
                      std::to_string(ref.object) +
                      " lost more shards than the code tolerates"};
   }
-  const bool all_present =
-      std::all_of(present.begin(), present.end(), [](bool p) { return p; });
-  if (all_present) return shards;
-  return code_.reconstruct(shards, present);
+  return code_.decode(view, missing_shards(view));
 }
 
 [[nodiscard]] Expected<ShardLocation> ObjectStore::commit_repaired_shard(
@@ -412,7 +410,7 @@ StripeStatus ObjectStore::stripe_status(const StripeRef& ref) const {
     return invalid("shard index " + std::to_string(shard_index) +
                    " out of range");
   }
-  if (shard_available(stripe.shards[static_cast<std::size_t>(shard_index)])) {
+  if (fetch(stripe.shards[static_cast<std::size_t>(shard_index)]) != nullptr) {
     return invalid("shard " + std::to_string(shard_index) +
                    " is still available (re-repair must be a no-op)");
   }
@@ -427,7 +425,7 @@ StripeStatus ObjectStore::stripe_status(const StripeRef& ref) const {
   for (std::size_t j = 0; j < stripe.shards.size(); ++j) {
     if (static_cast<int>(j) != shard_index &&
         stripe.shards[j].node == target_node &&
-        shard_available(stripe.shards[j])) {
+        fetch(stripe.shards[j]) != nullptr) {
       return invalid("target node " + std::to_string(target_node) +
                      " already holds a live shard of this stripe");
     }
@@ -469,12 +467,9 @@ std::uint64_t ObjectStore::content_fingerprint() const {
         mix(static_cast<std::uint64_t>(loc.node));
         mix(static_cast<std::uint64_t>(loc.drive));
         mix(loc.chunk);
-        const bool available = shard_available(loc);
-        mix_byte(available ? 1 : 0);
-        if (!available) continue;
-        const std::optional<Chunk> data =
-            nodes_[static_cast<std::size_t>(loc.node)].get(loc.drive,
-                                                           loc.chunk);
+        const Chunk* data = fetch(loc);
+        mix_byte(data != nullptr ? 1 : 0);
+        if (data == nullptr) continue;
         for (const std::uint8_t b : *data) mix_byte(b);
       }
     }
@@ -486,7 +481,7 @@ bool ObjectStore::fully_redundant() const {
   for (const auto& [object_id, meta] : objects_) {
     for (const Stripe& stripe : meta.stripes) {
       for (const ShardLocation& loc : stripe.shards) {
-        if (!shard_available(loc)) return false;
+        if (fetch(loc) == nullptr) return false;
       }
     }
   }

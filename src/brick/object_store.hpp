@@ -13,7 +13,6 @@
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "brick/node.hpp"
@@ -161,7 +160,8 @@ class ObjectStore {
   /// Placement + availability snapshot. Precondition: ref is valid.
   [[nodiscard]] StripeStatus stripe_status(const StripeRef& ref) const;
 
-  /// Gathers the stripe's survivors and decodes the full R shards.
+  /// Decodes the stripe's lost shards, in shard-index order, from its
+  /// first k survivors read in place (empty when nothing is lost).
   /// Read-only and safe to call concurrently with other const reads (it
   /// bypasses the IoStats counters). kDataLoss when more than t shards
   /// are missing. Precondition: ref is valid.
@@ -199,10 +199,12 @@ class ObjectStore {
     std::size_t size = 0;
   };
 
-  [[nodiscard]] bool shard_available(const ShardLocation& loc) const;
-  /// Collects a stripe's shards; missing ones flagged false.
-  [[nodiscard]] std::pair<std::vector<Chunk>, std::vector<bool>> gather(
-      const Stripe& stripe) const;
+  /// The shard's stored chunk, read in place; nullptr when its node or
+  /// drive is dead (the shard is unavailable).
+  [[nodiscard]] const Chunk* fetch(const ShardLocation& loc) const;
+  /// The stripe's survivor view: one chunk pointer per shard, nullptr
+  /// where the shard is unavailable.
+  [[nodiscard]] std::vector<const Chunk*> gather(const Stripe& stripe) const;
   /// Picks R distinct live nodes for a new stripe via the rotating layout.
   [[nodiscard]] std::vector<int> place_stripe();
 

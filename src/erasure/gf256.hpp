@@ -1,12 +1,13 @@
 // GF(2^8) arithmetic over the AES polynomial x^8+x^4+x^3+x+1 (0x11B),
-// implemented with log/antilog tables built at static initialization.
+// implemented with log/antilog and product tables computed at compile
+// time (gf256.cpp), so no call pays for a table guard.
 //
 // This is the substrate for the Reed-Solomon erasure code that realizes
 // the paper's "fault tolerance t across nodes" concretely: the paper
 // assumes such a code exists ([2], [3]); a deployable system needs one.
 #pragma once
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace nsrel::erasure {
@@ -37,13 +38,12 @@ class GF256 {
   /// Discrete log base the generator. Precondition: a != 0.
   [[nodiscard]] static unsigned log(Element a);
 
- private:
-  struct Tables {
-    std::array<Element, 512> exp{};
-    std::array<unsigned, 256> log{};
-    Tables();
-  };
-  static const Tables& tables();
+  /// dst[i] ^= c * src[i] for i < n: the region kernel every Reed-Solomon
+  /// encode and decode runs through. One 256-byte row of the product
+  /// table serves the whole region (Plank, Greenan & Miller, FAST 2013).
+  /// The two regions must not overlap.
+  static void mul_add_region(Element* dst, Element c, const Element* src,
+                             std::size_t n);
 };
 
 }  // namespace nsrel::erasure

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -12,15 +14,6 @@ namespace nsrel::erasure {
 namespace {
 using Element = GF256::Element;
 using GfMatrix = std::vector<std::vector<Element>>;
-
-/// y = y + scalar * x over GF(256), vectorized over shard bytes.
-void axpy(Shard& y, Element scalar, const Shard& x) {
-  NSREL_ASSERT(y.size() == x.size());
-  if (scalar == 0) return;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    y[i] = GF256::add(y[i], GF256::mul(scalar, x[i]));
-  }
-}
 }  // namespace
 
 ReedSolomonCode::ReedSolomonCode(int data_shards, int parity_shards)
@@ -45,21 +38,12 @@ ReedSolomonCode::ReedSolomonCode(int data_shards, int parity_shards)
 std::vector<Shard> ReedSolomonCode::encode(
     const std::vector<Shard>& data) const {
   NSREL_EXPECTS(static_cast<int>(data.size()) == data_shards_);
-  NSREL_EXPECTS(!data.empty());
-  const std::size_t shard_size = data.front().size();
-  for (const Shard& shard : data) NSREL_EXPECTS(shard.size() == shard_size);
-
-  std::vector<Shard> parity(static_cast<std::size_t>(parity_shards_),
-                            Shard(shard_size, 0));
-  for (int i = 0; i < parity_shards_; ++i) {
-    for (int j = 0; j < data_shards_; ++j) {
-      axpy(parity[static_cast<std::size_t>(i)],
-           parity_rows_[static_cast<std::size_t>(i)]
-                       [static_cast<std::size_t>(j)],
-           data[static_cast<std::size_t>(j)]);
-    }
-  }
-  return parity;
+  std::vector<const Shard*> view(static_cast<std::size_t>(total_shards()),
+                                 nullptr);
+  for (std::size_t i = 0; i < data.size(); ++i) view[i] = &data[i];
+  std::vector<int> parity(static_cast<std::size_t>(parity_shards_));
+  std::iota(parity.begin(), parity.end(), data_shards_);
+  return decode(view, parity);
 }
 
 bool ReedSolomonCode::recoverable(const std::vector<bool>& present) const {
@@ -81,49 +65,76 @@ GfMatrix ReedSolomonCode::generator() const {
   return g;
 }
 
+std::vector<Shard> ReedSolomonCode::decode(
+    ShardView survivors, std::span<const int> wanted) const {
+  NSREL_EXPECTS(static_cast<int>(survivors.size()) == total_shards());
+  const auto k = static_cast<std::size_t>(data_shards_);
+
+  // The first k survivors in index order are the decode's inputs.
+  std::vector<int> chosen;
+  std::vector<const Shard*> inputs;
+  for (int i = 0; i < total_shards() && inputs.size() < k; ++i) {
+    const Shard* shard = survivors[static_cast<std::size_t>(i)];
+    if (shard == nullptr) continue;
+    chosen.push_back(i);
+    inputs.push_back(shard);
+  }
+  NSREL_EXPECTS(inputs.size() == k);
+  const std::size_t shard_size = inputs.front()->size();
+  for (const Shard* shard : inputs) NSREL_EXPECTS(shard->size() == shard_size);
+
+  // Wanted shard w is G[w] * data, and data = inverse(G[chosen]) * inputs,
+  // so its coefficients over the inputs are G[w] * inverse(G[chosen]).
+  // When the inputs are the data shards themselves the inverse is the
+  // identity and G[w] is used as is.
+  const GfMatrix g = generator();
+  const bool systematic = chosen.back() == data_shards_ - 1;
+  GfMatrix inverse;
+  if (!systematic) {
+    GfMatrix sub;
+    sub.reserve(k);
+    for (const int row : chosen) sub.push_back(g[static_cast<std::size_t>(row)]);
+    inverse = gf_invert(std::move(sub));
+    NSREL_ASSERT(!inverse.empty());  // MDS: every square submatrix invertible
+  }
+
+  std::vector<Shard> out;
+  out.reserve(wanted.size());
+  std::vector<Element> coeffs(k);
+  for (const int w : wanted) {
+    NSREL_EXPECTS(w >= 0 && w < total_shards());
+    const std::vector<Element>& row = g[static_cast<std::size_t>(w)];
+    if (systematic) {
+      coeffs = row;
+    } else {
+      std::fill(coeffs.begin(), coeffs.end(), Element{0});
+      for (std::size_t i = 0; i < k; ++i) {
+        if (row[i] == 0) continue;
+        for (std::size_t j = 0; j < k; ++j) {
+          coeffs[j] = GF256::add(coeffs[j], GF256::mul(row[i], inverse[i][j]));
+        }
+      }
+    }
+    Shard& shard = out.emplace_back(shard_size, Element{0});
+    for (std::size_t j = 0; j < k; ++j) {
+      GF256::mul_add_region(shard.data(), coeffs[j], inputs[j]->data(),
+                            shard_size);
+    }
+  }
+  return out;
+}
+
 std::vector<Shard> ReedSolomonCode::reconstruct(
     const std::vector<Shard>& shards, const std::vector<bool>& present) const {
   NSREL_EXPECTS(static_cast<int>(shards.size()) == total_shards());
-  NSREL_EXPECTS(recoverable(present));
-
-  // Pick the first k available shards and the matching generator rows.
-  std::vector<int> chosen;
-  for (int i = 0; i < total_shards() && static_cast<int>(chosen.size()) <
-                                            data_shards_; ++i) {
-    if (present[static_cast<std::size_t>(i)]) chosen.push_back(i);
+  NSREL_EXPECTS(static_cast<int>(present.size()) == total_shards());
+  std::vector<const Shard*> view(shards.size(), nullptr);
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    if (present[i]) view[i] = &shards[i];
   }
-  const GfMatrix g = generator();
-  GfMatrix sub(static_cast<std::size_t>(data_shards_));
-  for (int row = 0; row < data_shards_; ++row) {
-    sub[static_cast<std::size_t>(row)] =
-        g[static_cast<std::size_t>(chosen[static_cast<std::size_t>(row)])];
-  }
-  const GfMatrix inverse = gf_invert(std::move(sub));
-  NSREL_ASSERT(!inverse.empty());  // MDS: every square submatrix invertible
-
-  const std::size_t shard_size =
-      shards[static_cast<std::size_t>(chosen.front())].size();
-  for (const int idx : chosen) {
-    NSREL_EXPECTS(shards[static_cast<std::size_t>(idx)].size() == shard_size);
-  }
-
-  // data = inverse * survivors.
-  std::vector<Shard> data(static_cast<std::size_t>(data_shards_),
-                          Shard(shard_size, 0));
-  for (int i = 0; i < data_shards_; ++i) {
-    for (int j = 0; j < data_shards_; ++j) {
-      axpy(data[static_cast<std::size_t>(i)],
-           inverse[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)],
-           shards[static_cast<std::size_t>(chosen[static_cast<std::size_t>(j)])]);
-    }
-  }
-
-  // Re-encode parity and assemble the full shard list.
-  std::vector<Shard> result = data;
-  std::vector<Shard> parity = encode(data);
-  result.insert(result.end(), std::make_move_iterator(parity.begin()),
-                std::make_move_iterator(parity.end()));
-  return result;
+  std::vector<int> all(shards.size());
+  std::iota(all.begin(), all.end(), 0);
+  return decode(view, all);
 }
 
 GfMatrix gf_invert(GfMatrix m) {

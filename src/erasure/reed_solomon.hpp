@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "erasure/gf256.hpp"
@@ -16,6 +17,10 @@
 namespace nsrel::erasure {
 
 using Shard = std::vector<std::uint8_t>;
+
+/// A stripe's shards in index order, nullptr where a shard is erased: the
+/// survivor view decode() reads in place, without copying a shard.
+using ShardView = std::span<const Shard* const>;
 
 class ReedSolomonCode {
  public:
@@ -35,8 +40,18 @@ class ReedSolomonCode {
   [[nodiscard]] std::vector<Shard> encode(
       const std::vector<Shard>& data) const;
 
+  /// Computes only the `wanted` shards (stripe indices, returned in that
+  /// order), each as a GF(256) combination of the first data_shards()
+  /// survivors in index order — the same inputs whatever is wanted, so
+  /// callers account the decode's reads identically. Parity that is not
+  /// wanted is never computed. Preconditions: survivors.size() ==
+  /// total_shards(), at least data_shards() survivors of equal size,
+  /// every wanted index in [0, total_shards()).
+  [[nodiscard]] std::vector<Shard> decode(ShardView survivors,
+                                          std::span<const int> wanted) const;
+
   /// Reconstructs ALL shards (data + parity, in index order) from any
-  /// subset of at least data_shards() survivors.
+  /// subset of at least data_shards() survivors: decode() of every index.
   /// `present[i]` says whether shards[i] is available; shards[i] is ignored
   /// when absent. Precondition: count(present) >= data_shards(), sizes of
   /// present shards equal.

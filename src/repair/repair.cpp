@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <map>
 #include <optional>
@@ -103,11 +104,10 @@ class Run {
         }
         break;
       }
-      const std::vector<RepairTask> batch = form_batch();
+      std::vector<RepairTask> batch = form_batch();
       if (batch.empty()) continue;
-      const std::vector<Expected<std::vector<Chunk>>> decoded =
-          decode_batch(batch);
-      commit_batch(batch, decoded);
+      std::vector<Expected<std::vector<Chunk>>> decoded = decode_batch(batch);
+      commit_batch(std::move(batch), std::move(decoded));
       barrier_callback();
     }
     report_.duration_seconds = sim_time_;
@@ -299,7 +299,7 @@ class Run {
            batch.size() < task_limit) {
       --poppable;
       RepairTask task = std::move(pending_.front());
-      pending_.erase(pending_.begin());
+      pending_.pop_front();
 
       const StripeStatus status = store_.stripe_status(task.stripe);
       task.lost_shards.clear();
@@ -327,7 +327,7 @@ class Run {
           projected + task.delay_seconds + duration > *time_limit) {
         // The time trigger lands before this task would finish; close
         // the batch here so the fault fires at the right barrier.
-        pending_.insert(pending_.begin(), std::move(task));
+        pending_.push_front(std::move(task));
         break;
       }
       projected += task.delay_seconds + duration;
@@ -379,7 +379,8 @@ class Run {
     return true;
   }
 
-  /// Parallel phase: each task decodes its stripe into its own slot.
+  /// Parallel phase: each task decodes its stripe's lost shards (in
+  /// shard-index order, parallel to lost_shards) into its own slot.
   /// Read-only against the store, so claim order cannot matter.
   std::vector<Expected<std::vector<Chunk>>> decode_batch(
       const std::vector<RepairTask>& batch) {
@@ -412,11 +413,11 @@ class Run {
   /// Serial phase: commits every task's shards in batch order. Target
   /// drive choice, chunk ids, accounting, and the simulated clock all
   /// advance here, single-threaded — this ordering is the determinism
-  /// guarantee.
-  void commit_batch(const std::vector<RepairTask>& batch,
-                    const std::vector<Expected<std::vector<Chunk>>>& decoded) {
+  /// guarantee. The decoded shards move into the store.
+  void commit_batch(std::vector<RepairTask> batch,
+                    std::vector<Expected<std::vector<Chunk>>> decoded) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      RepairTask task = batch[i];
+      RepairTask& task = batch[i];
       sim_time_ += task.delay_seconds;
       task.delay_seconds = 0.0;  // consumed; a retry adds only new backoff
       if (!decoded[i].has_value()) {
@@ -424,13 +425,13 @@ class Run {
         finalize_failure(task, decoded[i].error());
         continue;
       }
-      std::vector<Chunk> shards = decoded[i].value();
+      std::vector<Chunk>& shards = decoded[i].value();
+      NSREL_ASSERT(shards.size() == task.lost_shards.size());
       bool all_committed = true;
       for (std::size_t j = 0; j < task.lost_shards.size(); ++j) {
         const int shard_index = task.lost_shards[j];
         Expected<ShardLocation> committed = store_.commit_repaired_shard(
-            task.stripe, shard_index, task.targets[j],
-            std::move(shards[static_cast<std::size_t>(shard_index)]));
+            task.stripe, shard_index, task.targets[j], std::move(shards[j]));
         if (!committed.has_value()) {
           retry_or_finalize(task, committed.error());
           all_committed = false;
@@ -531,7 +532,7 @@ class Run {
   int jobs_ = 1;
   std::optional<ThreadPool> pool_;
   std::vector<ScheduledEvent> events_;
-  std::vector<RepairTask> pending_;
+  std::deque<RepairTask> pending_;
   std::vector<StripeStatus> batch_status_;  ///< parallel to current batch
   std::set<StripeRef> failed_stripes_;
   std::set<StripeRef> attempted_stripes_;

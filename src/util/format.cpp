@@ -57,6 +57,8 @@ std::string human_bytes(double bytes) {
 }
 
 std::string human_hours(double hours) {
+  // Below 0.05 h a positive MTTDL would round to "0.0 h".
+  if (hours > 0.0 && hours < 0.05) return sci(hours, 3) + " h";
   if (hours < 1e4) return fixed(hours, 1) + " h";
   return sci(hours, 3) + " h (" + sci(hours / kHoursPerYear, 3) + " yr)";
 }

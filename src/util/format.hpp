@@ -23,7 +23,8 @@ namespace nsrel {
 /// sizes, decimal for drive capacities -- the paper mixes both).
 [[nodiscard]] std::string human_bytes(double bytes);
 
-/// Hours rendered with an adaptive unit: "39.5 h", "4.2e+07 h (4.8e+03 yr)".
+/// Hours rendered with an adaptive unit: "39.5 h", "4.2e+07 h (4.8e+03 yr)",
+/// and "3.6e-301 h" for positive values too small to show in fixed point.
 [[nodiscard]] std::string human_hours(double hours);
 
 /// Parses `text` as a double (any strtod spelling, infinities included).

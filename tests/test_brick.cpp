@@ -37,11 +37,11 @@ TEST(Drive, PutGetDropAccounting) {
   Drive drive{kilobytes(4.0)};
   EXPECT_TRUE(drive.put(1, Chunk(1024, 0xAA)));
   EXPECT_DOUBLE_EQ(drive.used_bytes(), 1024.0);
-  ASSERT_TRUE(drive.get(1).has_value());
+  ASSERT_NE(drive.get(1), nullptr);
   EXPECT_EQ(drive.get(1)->at(0), 0xAA);
   drive.drop(1);
   EXPECT_DOUBLE_EQ(drive.used_bytes(), 0.0);
-  EXPECT_FALSE(drive.get(1).has_value());
+  EXPECT_EQ(drive.get(1), nullptr);
 }
 
 TEST(Drive, RejectsWhenFullOrDead) {
@@ -51,7 +51,7 @@ TEST(Drive, RejectsWhenFullOrDead) {
   EXPECT_FALSE(drive.put(3, Chunk(300, 0)));  // would exceed
   drive.fail();
   EXPECT_FALSE(drive.alive());
-  EXPECT_FALSE(drive.get(2).has_value());  // fail-in-place: unreadable
+  EXPECT_EQ(drive.get(2), nullptr);  // fail-in-place: unreadable
   EXPECT_FALSE(drive.put(4, Chunk(10, 0)));
 }
 
@@ -70,8 +70,8 @@ TEST(Node, DriveFailureLosesOnlyThatDrive) {
   const int d2 = *node.put(2, Chunk(100, 0x22));
   ASSERT_NE(d1, d2);  // least-loaded alternates
   node.fail_drive(d1);
-  EXPECT_FALSE(node.get(d1, 1).has_value());
-  EXPECT_TRUE(node.get(d2, 2).has_value());
+  EXPECT_EQ(node.get(d1, 1), nullptr);
+  EXPECT_NE(node.get(d2, 2), nullptr);
   EXPECT_TRUE(node.alive());
 }
 
@@ -79,7 +79,7 @@ TEST(Node, NodeFailureLosesEverything) {
   Node node(0, 2, Bytes(10000.0));
   const int d = *node.put(1, Chunk(100, 0));
   node.fail();
-  EXPECT_FALSE(node.get(d, 1).has_value());
+  EXPECT_EQ(node.get(d, 1), nullptr);
   EXPECT_DOUBLE_EQ(node.capacity_bytes(), 0.0);
   EXPECT_FALSE(node.put(2, Chunk(100, 0)).has_value());
 }

@@ -181,6 +181,15 @@ TEST(Dispatch, FlagWithoutValueIsUsageErrorNamingTheFlag) {
                    -5.0);
 }
 
+TEST(Dispatch, TinyMttdlPrintsInScientificNotationNotZero) {
+  const auto result =
+      run_argv({"analyze", "--scheme", "none", "--drive-mttf", "1e-300"});
+  EXPECT_EQ(result.exit_code, kExitOk) << result.err;
+  EXPECT_NE(result.out.find("MTTDL:"), std::string::npos);
+  EXPECT_EQ(result.out.find(" 0.0 h"), std::string::npos) << result.out;
+  EXPECT_NE(result.out.find("e-"), std::string::npos) << result.out;
+}
+
 TEST(Dispatch, StrayPositionalIsUsageErrorNamingTheToken) {
   const auto result = run_argv({"analyze", "oops"});
   EXPECT_EQ(result.exit_code, kExitUsage);

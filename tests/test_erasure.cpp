@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "erasure/gf256.hpp"
@@ -112,6 +113,43 @@ TEST(Gf256, PowMatchesRepeatedMultiplication) {
   }
 }
 
+TEST(Gf256, MulAddRegionMatchesMulForEveryPair) {
+  // All 65,536 (scalar, byte) pairs: one region per scalar holding every
+  // byte value, accumulated onto a nonzero destination.
+  std::vector<E> src(256);
+  std::iota(src.begin(), src.end(), 0);
+  for (int c = 0; c < 256; ++c) {
+    std::vector<E> dst(256, 0x5A);
+    GF256::mul_add_region(dst.data(), static_cast<E>(c), src.data(),
+                          src.size());
+    for (int x = 0; x < 256; ++x) {
+      ASSERT_EQ(dst[static_cast<std::size_t>(x)],
+                GF256::add(0x5A, GF256::mul(static_cast<E>(c),
+                                            static_cast<E>(x))))
+          << "c=" << c << " x=" << x;
+    }
+  }
+}
+
+TEST(Gf256, MulAddRegionHonoursLengthAtOddSizes) {
+  Xoshiro256 rng(8);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                              std::size_t{1025}}) {
+    for (const E c : {E{0}, E{1}, E{2}, E{0x8E}, E{0xFF}}) {
+      std::vector<E> src(n + 3);
+      std::vector<E> dst(n + 3);
+      for (auto& b : src) b = static_cast<E>(rng.below(256));
+      for (auto& b : dst) b = static_cast<E>(rng.below(256));
+      std::vector<E> expected = dst;
+      for (std::size_t i = 0; i < n; ++i) {
+        expected[i] = GF256::add(expected[i], GF256::mul(c, src[i]));
+      }
+      GF256::mul_add_region(dst.data(), c, src.data(), n);
+      EXPECT_EQ(dst, expected) << "n=" << n << " c=" << int{c};  // tail intact
+    }
+  }
+}
+
 TEST(GfInvert, IdentityAndSingular) {
   const std::vector<std::vector<E>> identity{{1, 0}, {0, 1}};
   const auto inv = gf_invert(identity);
@@ -205,6 +243,46 @@ TEST(ReedSolomon, PaperSizedCodesRecoverRandomErasures) {
       }
       EXPECT_EQ(code.reconstruct(damaged, present), shards)
           << "t=" << t << " trial=" << trial;
+    }
+  }
+}
+
+TEST(ReedSolomon, DecodeEqualsReconstructRowsForEveryPattern) {
+  // decode(view, wanted) must return exactly the wanted rows of
+  // reconstruct(), for every erasure pattern up to t and for each lost
+  // shard alone, every lost shard, and every shard.
+  Xoshiro256 rng(14);
+  for (const auto& [r, t] : {std::pair{6, 2}, std::pair{8, 3}}) {
+    const int k = r - t;
+    const ReedSolomonCode code(k, t);
+    const auto data = random_data(k, 96, rng);
+    auto shards = data;
+    const auto parity = code.encode(data);
+    shards.insert(shards.end(), parity.begin(), parity.end());
+    for (unsigned mask = 0; mask < (1u << r); ++mask) {
+      if (__builtin_popcount(mask) > t) continue;
+      std::vector<bool> present(static_cast<std::size_t>(r), true);
+      std::vector<const Shard*> view(static_cast<std::size_t>(r));
+      std::vector<int> lost;
+      for (int i = 0; i < r; ++i) {
+        const auto u = static_cast<std::size_t>(i);
+        present[u] = (mask & (1u << i)) == 0;
+        view[u] = present[u] ? &shards[u] : nullptr;
+        if (!present[u]) lost.push_back(i);
+      }
+      const auto full = code.reconstruct(shards, present);
+      std::vector<int> all(static_cast<std::size_t>(r));
+      std::iota(all.begin(), all.end(), 0);
+      EXPECT_EQ(code.decode(view, all), full) << "mask=" << mask;
+      const auto decoded = code.decode(view, lost);
+      ASSERT_EQ(decoded.size(), lost.size());
+      for (std::size_t j = 0; j < lost.size(); ++j) {
+        EXPECT_EQ(decoded[j], full[static_cast<std::size_t>(lost[j])])
+            << "mask=" << mask << " shard=" << lost[j];
+        const auto one = code.decode(view, {&lost[j], 1});
+        ASSERT_EQ(one.size(), 1u);
+        EXPECT_EQ(one.front(), full[static_cast<std::size_t>(lost[j])]);
+      }
     }
   }
 }

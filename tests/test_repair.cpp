@@ -406,6 +406,43 @@ TEST(RepairDeterminism, RepeatedRunsAreBitStable) {
   EXPECT_EQ(reports[0], reports[1]);
 }
 
+/// FNV-1a over a string: pins a report's exact bytes without a golden file.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const char c : text) {
+    hash ^= static_cast<std::uint8_t>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+TEST(RepairDeterminism, GoldenFingerprintsAndReport) {
+  // Recorded from the byte-at-a-time GF(256) arithmetic that decoded
+  // every shard of a stripe; the region kernel and the lost-only decode
+  // must reproduce the store and the report exactly, at any --jobs.
+  StoreParams params = small_params();
+  params.drive_capacity = kilobytes(1024.0);
+  const FaultSchedule schedule = parse_ok("after:100 node:5");
+  for (const int jobs : {1, 4}) {
+    ObjectStore store(params);
+    Xoshiro256 rng(42);
+    for (int i = 0; i < 200; ++i) {
+      std::vector<std::uint8_t> bytes(9000);
+      for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+      (void)store.write(bytes);
+    }
+    EXPECT_EQ(store.content_fingerprint(), 0x599afee88d5093e1ULL);
+    store.fail_node(0);
+    RepairOptions options;
+    options.jobs = jobs;
+    const std::string report =
+        render_repair_report(run_repair(store, schedule, options));
+    EXPECT_EQ(store.content_fingerprint(), 0x1f19ba9431544afbULL) << jobs;
+    EXPECT_EQ(report.size(), 29160u) << jobs;
+    EXPECT_EQ(fnv1a(report), 0x87ead484fab6c61dULL) << jobs;
+  }
+}
+
 // --- observability -----------------------------------------------------
 
 TEST(RepairProbes, CountersMatchReport) {

@@ -299,6 +299,10 @@ TEST(Format, HumanBytes) {
 TEST(Format, HumanHours) {
   EXPECT_EQ(human_hours(39.5), "39.5 h");
   EXPECT_NE(human_hours(1e7).find("yr"), std::string::npos);
+  EXPECT_EQ(human_hours(0.0), "0.0 h");
+  EXPECT_EQ(human_hours(0.05), "0.1 h");
+  EXPECT_EQ(human_hours(0.0123), "1.23e-02 h");
+  EXPECT_EQ(human_hours(3.6e-301), "3.60e-301 h");
 }
 
 TEST(Format, ParseIntAcceptsIntegralSpellingsAcrossTheIntRange) {
