@@ -101,6 +101,12 @@ void invalid_flag(const std::string& key, const std::string& problem) {
           .message());
 }
 
+void invalid_flag(const Error& error) {
+  throw ContractViolation(
+      Error{ErrorCode::kInvalidParameter, "cli.args", "--" + error.detail}
+          .message());
+}
+
 std::vector<std::string> Args::unused() const {
   std::vector<std::string> result;
   for (const auto& [key, value] : flags_) {

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "util/error.hpp"
+
 namespace nsrel::cli {
 
 class Args {
@@ -64,5 +66,10 @@ class Args {
 /// "--<key> <problem>".
 [[noreturn]] void invalid_flag(const std::string& key,
                                const std::string& problem);
+
+/// The same usage error for an error from a library domain check
+/// (core::check, sim::check), whose detail starts with the name the
+/// flag carries: "--<detail>".
+[[noreturn]] void invalid_flag(const Error& error);
 
 }  // namespace nsrel::cli

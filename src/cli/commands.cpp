@@ -163,7 +163,7 @@ EvalFlags eval_flags_from_args(const Args& args) {
   flags.cache_stats = args.has("cache-stats");
   flags.options.jobs = args.get_int("jobs", 1);
   if (flags.options.jobs < 0) {
-    throw ContractViolation("--jobs must be >= 0 (0 = all cores)");
+    invalid_flag("jobs", "must be >= 0 (0 = all cores)");
   }
   // The CLI default is skip: report what evaluated, mark what failed.
   // "fail" maps to the engine's fail-fast, surfacing as exit 5.
@@ -188,7 +188,7 @@ void maybe_cache_footer(const EvalFlags& flags,
       << (stats.hits + stats.misses) << " lookups)\n";
 }
 
-/// Reads a whole file for the document commands (diff/events/report);
+/// Reads a whole input file (scenario, diff, events, report);
 /// nullopt (with a message on `err`) when unreadable.
 std::optional<std::string> read_file(const std::string& path,
                                      std::ostream& err) {
@@ -236,6 +236,25 @@ int report_failures(const engine::ResultSet& results, std::ostream& err) {
   return kExitPartialResults;
 }
 
+/// compare's rendering in every format; analyze shares it for csv and
+/// json.
+void print_compare(const EvalFlags& flags, const engine::ResultSet& results,
+                   const core::ReliabilityTarget& target, std::ostream& out) {
+  switch (flags.format) {
+    case report::OutputFormat::kTable:
+      engine::compare_table(results, target).print(out);
+      break;
+    case report::OutputFormat::kCsv:
+      engine::compare_table(results, target).print_csv(out);
+      break;
+    case report::OutputFormat::kJson:
+      engine::write_json(results, out,
+                         engine::JsonOptions{flags.cache_stats});
+      break;
+  }
+  maybe_cache_footer(flags, results, out);
+}
+
 int run_analyze(const Args& args, std::ostream& out, std::ostream& err) {
   const core::SystemConfig system = config_from_args(args);
   const core::Configuration configuration = configuration_from_args(args);
@@ -247,14 +266,8 @@ int run_analyze(const Args& args, std::ostream& out, std::ostream& err) {
   const engine::Grid grid =
       engine::single_point(system, {configuration}, method);
   const engine::ResultSet results = engine::evaluate(grid, flags.options);
-  if (flags.format == report::OutputFormat::kJson) {
-    engine::write_json(results, out,
-                       engine::JsonOptions{flags.cache_stats});
-    return report_failures(results, err);
-  }
-  if (flags.format == report::OutputFormat::kCsv) {
-    engine::compare_table(results, target).print_csv(out);
-    maybe_cache_footer(flags, results, out);
+  if (flags.format != report::OutputFormat::kTable) {
+    print_compare(flags, results, target, out);
     return report_failures(results, err);
   }
   if (!results.ok(0, 0)) {
@@ -297,19 +310,7 @@ int run_compare(const Args& args, std::ostream& out, std::ostream& err) {
   const engine::Grid grid =
       engine::single_point(system, core::all_configurations(), method);
   const engine::ResultSet results = engine::evaluate(grid, flags.options);
-  switch (flags.format) {
-    case report::OutputFormat::kTable:
-      engine::compare_table(results, target).print(out);
-      break;
-    case report::OutputFormat::kCsv:
-      engine::compare_table(results, target).print_csv(out);
-      break;
-    case report::OutputFormat::kJson:
-      engine::write_json(results, out,
-                         engine::JsonOptions{flags.cache_stats});
-      break;
-  }
-  maybe_cache_footer(flags, results, out);
+  print_compare(flags, results, target, out);
   return report_failures(results, err);
 }
 
@@ -351,32 +352,35 @@ void check_sweep_range(double from, double to, int steps) {
   if (!(to > from)) invalid_flag("to", "must be > --from");
 }
 
-int run_sweep(const Args& args, std::ostream& out, std::ostream& err) {
+/// The body both sweep commands share: --param over `base` from --from
+/// to --to in --steps log-spaced points (sensitivity plots in the paper
+/// span decades), one cell per point through the grid engine; with
+/// `simulation` set the cells are Monte-Carlo estimates.
+int run_grid_sweep(const Args& args, const core::SystemConfig& base,
+                   const core::Configuration& configuration,
+                   core::Method method,
+                   std::optional<engine::SimSpec> simulation,
+                   std::ostream& out, std::ostream& err) {
   const std::string param = args.get_string("param", "drive-mttf");
   const double from = args.get_double("from", 100e3);
   const double to = args.get_double("to", 750e3);
   const int steps = args.get_int("steps", 5);
-  const core::Configuration configuration = configuration_from_args(args);
-  const core::Method method = method_from_args(args);
-  const core::SystemConfig base = config_from_args(args);
   EvalFlags flags = eval_flags_from_args(args);
   const bool progress = args.has("progress");
   if (const int rc = check_unused(args, err); rc != 0) return rc;
   check_sweep_range(from, to, steps);
 
-  // Probe the name before evaluating so a typo is a usage error (exit
-  // 2), not a ContractViolation from deep inside grid construction.
+  // Probe the name before evaluating so a typo names the flag.
   core::SystemConfig probe = base;
   if (!core::set_parameter(probe, param, from)) {
     err << "unknown --param '" << param << "'\n";
     return kExitUsage;
   }
 
-  // Log-spaced points: sensitivity plots in the paper span decades.
-  const engine::Grid grid = engine::parameter_sweep(
-      base, param,
-      engine::spaced_points(from, to, steps, /*log_scale=*/true),
+  engine::Grid grid = engine::parameter_sweep(
+      base, param, engine::spaced_points(from, to, steps, /*log_scale=*/true),
       {configuration}, method);
+  grid.simulation = std::move(simulation);
   std::optional<obs::ProgressMeter> meter;
   if (progress) {
     meter.emplace(err, "cells",
@@ -400,6 +404,14 @@ int run_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   }
   maybe_cache_footer(flags, results, out);
   return report_failures(results, err);
+}
+
+int run_sweep(const Args& args, std::ostream& out, std::ostream& err) {
+  const core::Configuration configuration = configuration_from_args(args);
+  const core::Method method = method_from_args(args);
+  const core::SystemConfig base = config_from_args(args);
+  return run_grid_sweep(args, base, configuration, method, std::nullopt, out,
+                        err);
 }
 
 int run_availability(const Args& args, std::ostream& out, std::ostream& err) {
@@ -451,60 +463,6 @@ int run_chain(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-/// `nsrel simulate --param ... --from ... --to ... --steps N`: a
-/// Monte-Carlo parameter sweep, routed through the same grid engine,
-/// renderers, and --on-error machinery as `nsrel sweep` — one sim cell
-/// per (point, configuration), bit-identical at any --jobs.
-int run_simulate_sweep(const Args& args, const core::SystemConfig& base,
-                       const core::Configuration& configuration,
-                       engine::SimSpec spec, std::ostream& out,
-                       std::ostream& err) {
-  const std::string param = args.get_string("param", "drive-mttf");
-  const double from = args.get_double("from", 100e3);
-  const double to = args.get_double("to", 750e3);
-  const int steps = args.get_int("steps", 5);
-  EvalFlags flags = eval_flags_from_args(args);
-  const bool progress = args.has("progress");
-  if (const int rc = check_unused(args, err); rc != 0) return rc;
-  check_sweep_range(from, to, steps);
-
-  core::SystemConfig probe = base;
-  if (!core::set_parameter(probe, param, from)) {
-    err << "unknown --param '" << param << "'\n";
-    return kExitUsage;
-  }
-
-  // Cell-level parallelism comes from the engine (--jobs); each cell
-  // runs its trials inline (the engine forces this for multi-cell sim
-  // grids, so the flag never double-subscribes the machine).
-  engine::Grid grid = engine::parameter_sweep(
-      base, param, engine::spaced_points(from, to, steps, /*log_scale=*/true),
-      {configuration});
-  grid.simulation = std::move(spec);
-  std::optional<obs::ProgressMeter> meter;
-  if (progress) {
-    meter.emplace(err, "cells",
-                  grid.points.size() * grid.configurations.size());
-    flags.options.progress = &*meter;
-  }
-  const engine::ResultSet results = engine::evaluate(grid, flags.options);
-  if (meter) meter->finish();
-  switch (flags.format) {
-    case report::OutputFormat::kTable:
-      out << core::name(configuration) << ", sweeping " << param << ":\n";
-      engine::sim_sweep_table(results).print(out);
-      break;
-    case report::OutputFormat::kCsv:
-      engine::sim_sweep_table(results).print_csv(out);
-      break;
-    case report::OutputFormat::kJson:
-      engine::write_json(results, out, engine::JsonOptions{flags.cache_stats});
-      break;
-  }
-  maybe_cache_footer(flags, results, out);
-  return report_failures(results, err);
-}
-
 int run_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   const core::SystemConfig system = config_from_args(args);
   const core::Configuration configuration = configuration_from_args(args);
@@ -515,14 +473,17 @@ int run_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   spec.options.ci_target = args.get_double("ci-target", 0.0);
   spec.options.chunk_trials = args.get_int("chunk", 256);
   spec.options.max_trials = args.get_int("max-trials", spec.options.max_trials);
-  if (spec.trials < 2) invalid_flag("trials", "must be >= 2");
-  if (spec.options.jobs < 0) invalid_flag("jobs", "must be >= 0 (0 = all cores)");
+  if (std::optional<Error> bad = sim::check(spec.options, spec.trials)) {
+    invalid_flag(*bad);
+  }
 
-  // With --param the command becomes a Monte-Carlo sweep; --jobs then
-  // parallelizes across cells instead of within the one estimate.
+  // With --param the command becomes a Monte-Carlo sweep through the
+  // engine; --jobs then parallelizes across cells (each cell runs its
+  // trials inline, so the flag never double-subscribes the machine).
   if (args.has("param")) {
-    return run_simulate_sweep(args, system, configuration, std::move(spec),
-                              out, err);
+    return run_grid_sweep(args, system, configuration,
+                          core::Method::kExactChain, std::move(spec), out,
+                          err);
   }
 
   const bool progress = args.has("progress");
@@ -545,11 +506,8 @@ int run_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   // Single-cell grid through the same engine as the sweeps: the cell's
   // seed is the base seed and the intra-cell jobs/progress are honored,
   // so the estimate is bit-identical to the historical direct call.
-  const int jobs = spec.options.jobs;
-  const int chunk = spec.options.chunk_trials;
-  const std::uint64_t seed = spec.seed;
   engine::Grid grid = engine::single_point(system, {configuration});
-  grid.simulation = std::move(spec);
+  grid.simulation = spec;
   const engine::ResultSet results =
       engine::evaluate(grid, {.on_error = engine::OnError::kSkip});
   if (meter) meter->finish();
@@ -559,8 +517,9 @@ int run_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   }
   const sim::MttdlEstimate& estimate = results.sim_at(0, 0).estimate;
   out << "configuration:     " << core::name(configuration) << "\n"
-      << "trials:            " << estimate.trials << " (jobs " << jobs
-      << ", chunk " << chunk << ", seed " << seed << ")\n"
+      << "trials:            " << estimate.trials << " (jobs "
+      << spec.options.jobs << ", chunk " << spec.options.chunk_trials
+      << ", seed " << spec.seed << ")\n"
       << "simulated MTTDL:   " << sci(estimate.mean_hours) << " h\n"
       << "95% CI:            [" << sci(estimate.ci95_low_hours) << ", "
       << sci(estimate.ci95_high_hours) << "] h (±"
@@ -719,6 +678,12 @@ int run_provision(const Args& args, std::ostream& out, std::ostream& err) {
   const double years = args.get_double("years", 5.0);
   const double confidence = args.get_double("confidence", 0.95);
   if (const int rc = check_unused(args, err); rc != 0) return rc;
+  if (!(years > 0.0) || !std::isfinite(years * kHoursPerYear)) {
+    invalid_flag("years", "must be finite and > 0");
+  }
+  if (!(confidence > 0.0 && confidence < 1.0)) {
+    invalid_flag("confidence", "must be in (0, 1)");
+  }
 
   placement::ProvisioningPlanner::Params p;
   p.nodes = sys.node_set_size;
@@ -752,17 +717,10 @@ int run_scenario_command(const Args& args, std::ostream& out,
     err << "scenario requires --file <path>\n";
     return kExitUsage;
   }
-  if (jobs_given && jobs < 0) {
-    throw ContractViolation("--jobs must be >= 0 (0 = all cores)");
-  }
-  std::ifstream in(path);
-  if (!in) {
-    err << "cannot open scenario file '" << path << "'\n";
-    return kExitUsage;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  scenario::Scenario scenario = scenario::parse_scenario(text.str());
+  if (jobs < 0) invalid_flag("jobs", "must be >= 0 (0 = all cores)");
+  const std::optional<std::string> text = read_file(path, err);
+  if (!text.has_value()) return kExitUsage;
+  scenario::Scenario scenario = scenario::parse_scenario(*text);
   if (jobs_given) scenario.jobs = jobs;  // command line beats [output] jobs
   const scenario::RunOutcome outcome = scenario::run_scenario(scenario, out);
   if (outcome.error_count != 0) {
@@ -777,41 +735,21 @@ int run_scenario_command(const Args& args, std::ostream& out,
 
 core::SystemConfig config_from_args(const Args& args) {
   core::SystemConfig config = core::SystemConfig::baseline();
-  config.node_set_size = args.get_int("n", config.node_set_size);
-  config.redundancy_set_size = args.get_int("r", config.redundancy_set_size);
-  config.drives_per_node = args.get_int("d", config.drives_per_node);
-  config.node_mttf = Hours(args.get_double("node-mttf", 400e3));
-  config.drive.mttf = Hours(args.get_double("drive-mttf", 300e3));
-  config.drive.capacity = gigabytes(args.get_double("capacity-gb", 300.0));
-  // HER quoted as "1 sector in 10^K bits": per byte = 8 * 10^-K.
-  config.drive.her_per_byte =
-      8.0 * std::pow(10.0, -args.get_double("her-exp", 14.0));
-  config.drive.max_iops = args.get_double("iops", 150.0);
-  config.drive.sustained_rate =
-      megabytes_per_second(args.get_double("xfer-mbps", 40.0));
-  config.link.raw_speed =
-      gigabits_per_second(args.get_double("link-gbps", 10.0));
-  config.rebuild_command = kilobytes(args.get_double("rebuild-kb", 128.0));
-  config.restripe_command = kilobytes(args.get_double("restripe-kb", 1024.0));
-  config.capacity_utilization = args.get_double("util", 0.75);
-  config.rebuild_bandwidth_fraction = args.get_double("bw-frac", 0.10);
-  config.validate();
+  for (const std::string& name : core::parameter_names()) {
+    if (!args.has(name)) continue;
+    const double value = core::is_count_parameter(name)
+                             ? args.get_int(name, 0)
+                             : args.get_double(name, 0.0);
+    (void)core::set_parameter(config, name, value);
+  }
+  if (std::optional<Error> bad = core::check(config)) invalid_flag(*bad);
   return config;
 }
 
 core::Configuration configuration_from_args(const Args& args) {
-  const std::string scheme = args.get_string("scheme", "raid5");
   core::Configuration configuration;
-  if (scheme == "none") {
-    configuration.internal = core::InternalScheme::kNone;
-  } else if (scheme == "raid5") {
-    configuration.internal = core::InternalScheme::kRaid5;
-  } else if (scheme == "raid6") {
-    configuration.internal = core::InternalScheme::kRaid6;
-  } else {
-    throw ContractViolation("unknown --scheme '" + scheme +
-                            "' (use none|raid5|raid6)");
-  }
+  configuration.internal =
+      core::parse_scheme(args.get_string("scheme", "raid5"));
   configuration.node_fault_tolerance = args.get_int("ft", 2);
   return configuration;
 }

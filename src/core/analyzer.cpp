@@ -105,14 +105,6 @@ template <typename Solve>
   return outcome;
 }
 
-/// Checks a system parameter for the try_analyze path: finite and
-/// strictly positive, else an invalid_parameter error naming it.
-std::optional<Error> check_positive_finite(double value, const char* name) {
-  if (std::isfinite(value) && value > 0.0) return std::nullopt;
-  return Error{ErrorCode::kInvalidParameter, "core.analyzer",
-               std::string(name) + " must be finite and positive"};
-}
-
 /// The one fault-tolerance check of the try_* paths: k >= 1, k below the
 /// redundancy set size, and k <= 16 without internal RAID (the
 /// NoInternalRaidModel cap: that chain has 2^(k+1) states). A typed
@@ -147,7 +139,7 @@ std::string method_name(Method method) {
 }
 
 Analyzer::Analyzer(SystemConfig config) : config_(std::move(config)) {
-  config_.validate();
+  NSREL_EXPECTS(!check(config_));
 }
 
 rebuild::RebuildPlanner Analyzer::planner(int node_fault_tolerance) const {
@@ -270,23 +262,6 @@ AnalysisResult Analyzer::analyze(const Configuration& configuration,
   if (auto bad = check_fault_tolerance(configuration,
                                        config_.redundancy_set_size)) {
     return *std::move(bad);
-  }
-  if (auto bad = check_positive_finite(config_.drive.mttf.value(),
-                                       "drive MTTF")) {
-    return *std::move(bad);
-  }
-  if (auto bad = check_positive_finite(config_.node_mttf.value(),
-                                       "node MTTF")) {
-    return *std::move(bad);
-  }
-  if (auto bad = check_positive_finite(config_.drive.capacity.value(),
-                                       "drive capacity")) {
-    return *std::move(bad);
-  }
-  if (!std::isfinite(config_.drive.her_per_byte) ||
-      config_.drive.her_per_byte < 0.0) {
-    return Error{ErrorCode::kInvalidParameter, "core.analyzer",
-                 "hard-error rate must be finite and non-negative"};
   }
 
   AnalysisResult result;

@@ -46,7 +46,7 @@ struct AnalysisResult {
 
 class Analyzer {
  public:
-  /// Precondition: config.validate() passes.
+  /// Precondition: check(config) passes.
   explicit Analyzer(SystemConfig config);
 
   [[nodiscard]] const SystemConfig& config() const { return config_; }
@@ -60,8 +60,8 @@ class Analyzer {
       SolveCache* cache = nullptr) const;
 
   /// Non-throwing form of analyze(): every failure mode comes back as a
-  /// typed Error instead of an exception — out-of-range or non-finite
-  /// system parameters as invalid_parameter, numerical failures in the
+  /// typed Error instead of an exception — an out-of-range fault
+  /// tolerance as invalid_parameter, numerical failures in the
   /// chain solve with their original code (singular_generator,
   /// ill_conditioned, non_finite_result), violated internal contracts as
   /// contract_violation, and non-finite derived metrics (MTTDL, events

@@ -19,6 +19,14 @@ int internal_fault_tolerance(InternalScheme scheme) {
   NSREL_ASSERT(false);
 }
 
+InternalScheme parse_scheme(const std::string& name) {
+  if (name == "none") return InternalScheme::kNone;
+  if (name == "raid5") return InternalScheme::kRaid5;
+  if (name == "raid6") return InternalScheme::kRaid6;
+  throw ContractViolation("unknown scheme '" + name +
+                          "' (use none|raid5|raid6)");
+}
+
 std::string scheme_name(InternalScheme scheme) {
   switch (scheme) {
     case InternalScheme::kNone:

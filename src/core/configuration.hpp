@@ -20,6 +20,11 @@ struct Configuration {
 /// Number of drive failures the internal scheme tolerates (0, 1, 2).
 [[nodiscard]] int internal_fault_tolerance(InternalScheme scheme);
 
+/// Parses the canonical scheme names shared by the CLI's --scheme flag
+/// and scenario configuration tokens: "none" | "raid5" | "raid6".
+/// Throws ContractViolation on anything else.
+[[nodiscard]] InternalScheme parse_scheme(const std::string& name);
+
 /// "No Internal RAID" / "Internal RAID 5" / "Internal RAID 6".
 [[nodiscard]] std::string scheme_name(InternalScheme scheme);
 

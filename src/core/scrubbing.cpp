@@ -19,7 +19,7 @@ double ScrubbingModel::latent_rate(double datasheet_her_per_byte) const {
 }
 
 ScrubbingEffect ScrubbingModel::effect(const core::SystemConfig& system) const {
-  system.validate();
+  NSREL_EXPECTS(!check(system));
   ScrubbingEffect result;
   const double rho = latent_rate(system.drive.her_per_byte);
   result.effective_her_per_byte = rho * params_.period.value() / 2.0;

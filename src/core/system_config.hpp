@@ -3,11 +3,13 @@
 // table verbatim.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "rebuild/drive_model.hpp"
 #include "rebuild/link_model.hpp"
+#include "util/error.hpp"
 #include "util/units.hpp"
 
 namespace nsrel::core {
@@ -27,21 +29,29 @@ struct SystemConfig {
   /// The section-6 baseline (which is also the default-constructed value;
   /// this named factory exists for call-site readability).
   [[nodiscard]] static SystemConfig baseline() { return SystemConfig{}; }
-
-  /// Throws ContractViolation when any field is out of its domain.
-  void validate() const;
 };
+
+/// The one domain check of a SystemConfig: every field finite and in
+/// range, and r <= n. nullopt when valid; otherwise a core.system
+/// invalid_parameter error whose detail starts with the offending
+/// parameter's canonical name ("util must be in (0, 1]"), so callers can
+/// re-badge it as their own input (a CLI flag, a scenario key).
+[[nodiscard]] std::optional<Error> check(const SystemConfig& config);
 
 /// Sets one field by its canonical parameter name (the names the CLI and
 /// scenario files share): n, r, d, node-mttf, drive-mttf, capacity-gb,
 /// her-exp (1 sector per 10^value bits), iops, xfer-mbps, link-gbps,
 /// rebuild-kb, restripe-kb, util, bw-frac. Returns false for an unknown
-/// name; the value is applied unvalidated (call validate() after the
-/// last set).
+/// name. The value is applied unchecked (call check() after the last
+/// set); a count (n, r, d) truncates toward zero, and one that is NaN or
+/// outside the int range is stored as 0, which check() rejects.
 [[nodiscard]] bool set_parameter(SystemConfig& config, const std::string& name,
                                  double value);
 
 /// The canonical parameter names accepted by set_parameter.
 [[nodiscard]] std::vector<std::string> parameter_names();
+
+/// Whether a canonical parameter is a count (n, r, d): an integer field.
+[[nodiscard]] bool is_count_parameter(const std::string& name);
 
 }  // namespace nsrel::core

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <future>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -192,6 +193,11 @@ ResultSet evaluate(const Grid& grid, const EvalOptions& options) {
           if (fault.point == point && fault.configuration == configuration) {
             raise_injected(fault.code);
           }
+        }
+        // A point outside the parameter domain (a sweep past util 1, a
+        // count past the int range) is this cell's error, not the run's.
+        if (std::optional<Error> bad = core::check(grid.points[point].system)) {
+          return *std::move(bad);
         }
         const core::Analyzer analyzer(grid.points[point].system);
         if (grid.simulation.has_value()) {

@@ -75,7 +75,6 @@ Grid custom_cartesian(
       labels.push_back(grid.axes[a].labels[index[a]]);
     }
     point.system = make_system(point.coords);
-    point.system.validate();
     point.label = join_labels(labels);
     grid.points.push_back(std::move(point));
     for (std::size_t a = grid.axes.size(); a-- > 0;) {
@@ -160,7 +159,6 @@ Grid single_point(const core::SystemConfig& system,
   grid.method = method;
   GridPoint point;
   point.system = system;
-  point.system.validate();
   point.label = label;
   grid.points.push_back(std::move(point));
   return grid;

@@ -116,8 +116,9 @@ struct AxisSpec {
 
 /// Cartesian sweep over canonical parameter names (core::set_parameter):
 /// each point applies every axis's value to `base` in axis order. Throws
-/// ContractViolation on an unknown parameter name or a value the
-/// resulting SystemConfig rejects.
+/// ContractViolation on an unknown parameter name. Points are not
+/// checked here: evaluate() reports a point that fails core::check as
+/// that cell's invalid_parameter error.
 [[nodiscard]] Grid cartesian_sweep(
     const core::SystemConfig& base, const std::vector<AxisSpec>& axes,
     std::vector<core::Configuration> configurations,
@@ -135,8 +136,7 @@ struct AxisSpec {
 
 /// Sweeps one canonical parameter (core::set_parameter names) over the
 /// given values. Thin wrapper over cartesian_sweep. Throws
-/// ContractViolation on an unknown parameter name or a value the
-/// resulting SystemConfig rejects.
+/// ContractViolation on an unknown parameter name.
 [[nodiscard]] Grid parameter_sweep(
     const core::SystemConfig& base, const std::string& parameter,
     const std::vector<double>& values,

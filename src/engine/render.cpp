@@ -64,17 +64,17 @@ report::Table events_table(const ResultSet& results,
 
 report::Table sweep_table(const ResultSet& results) {
   obs::Span span(obs::probe::kSpanRender, obs::probe::kSpanCategoryEngine);
-  span.arg("kind", "sweep_table");
   const Grid& grid = results.grid();
-  NSREL_EXPECTS(!grid.is_simulation());
+  const bool simulated = grid.is_simulation();
+  span.arg("kind", simulated ? "sim_sweep_table" : "sweep_table");
   const bool qualify = grid.configurations.size() > 1;
   std::vector<std::string> headers;
   headers.push_back(label_header(grid));
   for (const auto& configuration : grid.configurations) {
     const std::string prefix =
         qualify ? core::name(configuration) + " " : std::string();
-    headers.push_back(prefix + "MTTDL (h)");
-    headers.push_back(prefix + "events/PB-yr");
+    headers.push_back(prefix + (simulated ? "sim MTTDL (h)" : "MTTDL (h)"));
+    headers.push_back(prefix + (simulated ? "95% CI (h)" : "events/PB-yr"));
   }
   report::Table table(std::move(headers));
   for (std::size_t p = 0; p < results.point_count(); ++p) {
@@ -84,45 +84,16 @@ report::Table sweep_table(const ResultSet& results) {
         const std::string marker = failure_marker(results.cell(p, c));
         row.push_back(marker);
         row.push_back(marker);
-        continue;
+      } else if (simulated) {
+        const sim::MttdlEstimate& estimate = results.sim_at(p, c).estimate;
+        row.push_back(sci(estimate.mean_hours));
+        row.push_back(
+            sci_interval(estimate.ci95_low_hours, estimate.ci95_high_hours));
+      } else {
+        const core::AnalysisResult& result = results.at(p, c);
+        row.push_back(sci(result.mttdl.value()));
+        row.push_back(sci(result.events_per_pb_year));
       }
-      const core::AnalysisResult& result = results.at(p, c);
-      row.push_back(sci(result.mttdl.value()));
-      row.push_back(sci(result.events_per_pb_year));
-    }
-    table.add_row(std::move(row));
-  }
-  return table;
-}
-
-report::Table sim_sweep_table(const ResultSet& results) {
-  obs::Span span(obs::probe::kSpanRender, obs::probe::kSpanCategoryEngine);
-  span.arg("kind", "sim_sweep_table");
-  const Grid& grid = results.grid();
-  NSREL_EXPECTS(grid.is_simulation());
-  const bool qualify = grid.configurations.size() > 1;
-  std::vector<std::string> headers;
-  headers.push_back(label_header(grid));
-  for (const auto& configuration : grid.configurations) {
-    const std::string prefix =
-        qualify ? core::name(configuration) + " " : std::string();
-    headers.push_back(prefix + "sim MTTDL (h)");
-    headers.push_back(prefix + "95% CI (h)");
-  }
-  report::Table table(std::move(headers));
-  for (std::size_t p = 0; p < results.point_count(); ++p) {
-    std::vector<std::string> row{grid.points[p].label};
-    for (std::size_t c = 0; c < results.configuration_count(); ++c) {
-      if (!results.ok(p, c)) {
-        const std::string marker = failure_marker(results.cell(p, c));
-        row.push_back(marker);
-        row.push_back(marker);
-        continue;
-      }
-      const sim::MttdlEstimate& estimate = results.sim_at(p, c).estimate;
-      row.push_back(sci(estimate.mean_hours));
-      row.push_back(
-          sci_interval(estimate.ci95_low_hours, estimate.ci95_high_hours));
     }
     table.add_row(std::move(row));
   }

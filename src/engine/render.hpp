@@ -32,17 +32,11 @@ namespace nsrel::engine {
 [[nodiscard]] report::Table events_table(
     const ResultSet& results, const core::ReliabilityTarget* mark_target);
 
-/// Rows = grid points; per configuration an "MTTDL (h)" and an
-/// "events/PB-yr" column (headers prefixed with the configuration name
-/// when the grid has several). The CLI sweep shape. Precondition:
-/// analytic grid.
+/// Rows = grid points; per configuration two columns (headers prefixed
+/// with the configuration name when the grid has several): "MTTDL (h)"
+/// and "events/PB-yr" for an analytic grid, "sim MTTDL (h)" and
+/// "95% CI (h)" for a simulation grid. The CLI sweep shape.
 [[nodiscard]] report::Table sweep_table(const ResultSet& results);
-
-/// Rows = grid points; per configuration a "sim MTTDL (h)" and a
-/// "95% CI" column (headers prefixed with the configuration name when
-/// the grid has several). The CLI simulate-sweep shape. Precondition:
-/// simulation grid.
-[[nodiscard]] report::Table sim_sweep_table(const ResultSet& results);
 
 /// Rows = configurations of the single grid point: configuration, MTTDL,
 /// events/PB-yr, meets. The CLI compare shape. Precondition: exactly one

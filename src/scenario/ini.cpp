@@ -1,6 +1,5 @@
 #include "scenario/ini.hpp"
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -104,10 +103,10 @@ double IniDocument::get_double(const std::string& section_name,
   const Section& s = section(section_name);
   const auto it = s.find(key);
   if (it == s.end()) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(it->second.c_str(), &end);
-  NSREL_EXPECTS(end != nullptr && *end == '\0' && !it->second.empty());
-  return value;
+  const Expected<double> value =
+      parse_double(it->second, "scenario", "[" + section_name + "] " + key);
+  if (!value.has_value()) throw ContractViolation(value.error().message());
+  return value.value();
 }
 
 int IniDocument::get_int(const std::string& section_name,

@@ -34,12 +34,12 @@ class IniDocument {
   [[nodiscard]] std::string get(const std::string& section_name,
                                 const std::string& key,
                                 const std::string& fallback) const;
+  /// Throw ContractViolation carrying parse_double's / parse_int's typed
+  /// invalid_parameter error for a non-number (NaN included); get_int
+  /// also for a fraction or a value outside the int range.
   [[nodiscard]] double get_double(const std::string& section_name,
                                   const std::string& key,
                                   double fallback) const;
-  /// Range-checked: throws ContractViolation carrying parse_int's typed
-  /// invalid_parameter error for a non-number, a fraction, or a value
-  /// outside the int range.
   [[nodiscard]] int get_int(const std::string& section_name,
                             const std::string& key, int fallback) const;
   [[nodiscard]] bool has(const std::string& section_name,

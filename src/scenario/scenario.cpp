@@ -1,6 +1,8 @@
 #include "scenario/scenario.hpp"
 
+#include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -26,21 +28,10 @@ core::Configuration parse_configuration_token(const std::string& token) {
     throw ContractViolation("configuration token '" + token +
                             "' is not of the form <scheme>-ft<K>");
   }
-  const std::string scheme = token.substr(0, dash);
-  const std::string ft_text = token.substr(dash + 3);
   core::Configuration configuration;
-  if (scheme == "none") {
-    configuration.internal = core::InternalScheme::kNone;
-  } else if (scheme == "raid5") {
-    configuration.internal = core::InternalScheme::kRaid5;
-  } else if (scheme == "raid6") {
-    configuration.internal = core::InternalScheme::kRaid6;
-  } else {
-    throw ContractViolation("unknown scheme '" + scheme +
-                            "' (use none|raid5|raid6)");
-  }
+  configuration.internal = core::parse_scheme(token.substr(0, dash));
   const std::string what = "configuration token '" + token + "'";
-  const Expected<int> ft = parse_int(ft_text, "scenario", what);
+  const Expected<int> ft = parse_int(token.substr(dash + 3), "scenario", what);
   if (!ft.has_value()) throw ContractViolation(ft.error().message());
   if (ft.value() < 1) {
     throw ContractViolation(Error{ErrorCode::kInvalidParameter, "scenario",
@@ -63,7 +54,11 @@ Scenario parse_scenario(const std::string& text) {
       throw ContractViolation("unknown system parameter '" + key + "'");
     }
   }
-  scenario.system.validate();
+  if (std::optional<Error> bad = core::check(scenario.system)) {
+    throw ContractViolation(Error{ErrorCode::kInvalidParameter, "scenario",
+                                  "[system] " + bad->detail}
+                                .message());
+  }
 
   // [configurations].
   const std::string list =
@@ -75,10 +70,12 @@ Scenario parse_scenario(const std::string& text) {
 
   // [sweep], [sweep.2], [sweep.3], ... (optional; consecutive sections,
   // each one axis of a cartesian grid).
+  std::vector<std::string> known = {"", "system", "configurations", "output"};
   for (std::size_t axis = 1;; ++axis) {
     const std::string section =
         axis == 1 ? "sweep" : "sweep." + std::to_string(axis);
     if (!doc.has_section(section)) break;
+    known.push_back(section);
     Sweep sweep;
     sweep.parameter = doc.get(section, "param", "");
     if (sweep.parameter.empty()) {
@@ -132,20 +129,7 @@ Scenario parse_scenario(const std::string& text) {
   // consecutive run parsed above ([sweep.4] with no [sweep.3]) land here
   // too, with a hint about the numbering rule.
   for (const std::string& name : doc.section_names()) {
-    if (name == "system" || name == "configurations" || name == "output" ||
-        name.empty()) {
-      continue;
-    }
-    bool consumed_sweep = false;
-    for (std::size_t axis = 1; axis <= scenario.sweeps.size(); ++axis) {
-      const std::string section =
-          axis == 1 ? "sweep" : "sweep." + std::to_string(axis);
-      if (name == section) {
-        consumed_sweep = true;
-        break;
-      }
-    }
-    if (consumed_sweep) continue;
+    if (std::ranges::find(known, name) != known.end()) continue;
     if (name.rfind("sweep", 0) == 0) {
       throw ContractViolation(
           "unknown section [" + name +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <future>
@@ -82,17 +83,29 @@ void run_wave(const RegenerativeSampler& sample_one, std::uint64_t seed,
 
 }  // namespace
 
+std::optional<Error> check(const ParallelOptions& options, int trials) {
+  const auto invalid = [](const char* problem) {
+    return Error{ErrorCode::kInvalidParameter, "sim.parallel", problem};
+  };
+  if (trials < 2) return invalid("trials must be >= 2");
+  if (options.jobs < 0) return invalid("jobs must be >= 0 (0 = all cores)");
+  if (options.chunk_trials < 1) return invalid("chunk must be >= 1");
+  if (!(std::isfinite(options.ci_target) && options.ci_target >= 0.0)) {
+    return invalid("ci-target must be finite and >= 0");
+  }
+  if (options.ci_target > 0.0 && options.max_trials < trials) {
+    return invalid("max-trials must be >= trials when ci-target > 0");
+  }
+  return std::nullopt;
+}
+
 MttdlEstimate run_trials(const RegenerativeSampler& sample_one, int trials,
                          std::uint64_t seed, const ParallelOptions& options) {
-  NSREL_EXPECTS(trials >= 2);
-  NSREL_EXPECTS(options.chunk_trials >= 1);
-  NSREL_EXPECTS(options.jobs >= 0);
-  NSREL_EXPECTS(options.ci_target >= 0.0);
+  NSREL_EXPECTS(!check(options, trials));
 
   const int jobs =
       options.jobs == 0 ? ThreadPool::hardware_threads() : options.jobs;
   const bool adaptive = options.ci_target > 0.0;
-  NSREL_EXPECTS(!adaptive || options.max_trials >= trials);
 
   const int chunk = options.chunk_trials;
   // In fixed mode the last chunk is ragged so exactly `trials` run; in

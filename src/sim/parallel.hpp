@@ -27,8 +27,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 
 #include "sim/estimate.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace nsrel::obs {
@@ -74,9 +76,17 @@ struct RegenerativeTrial {
 };
 using RegenerativeSampler = std::function<RegenerativeTrial(Xoshiro256&)>;
 
+/// The one domain check of a run's options and trial count: trials >= 2,
+/// jobs >= 0, chunk >= 1, a finite ci-target >= 0 and, in adaptive mode,
+/// max-trials >= trials. nullopt when valid; otherwise a sim.parallel
+/// invalid_parameter error whose detail starts with the option's CLI
+/// name ("chunk must be >= 1").
+[[nodiscard]] std::optional<Error> check(const ParallelOptions& options,
+                                         int trials);
+
 /// Runs `trials` trials (more in adaptive mode, see above) and returns
 /// the ratio estimate mean(cycle_hours) / mean(loss_weight).
-/// Preconditions: trials >= 2, options valid.
+/// Precondition: check(options, trials) passes.
 [[nodiscard]] MttdlEstimate run_trials(const RegenerativeSampler& sample_one,
                                        int trials, std::uint64_t seed,
                                        const ParallelOptions& options = {});

@@ -67,6 +67,25 @@ TEST(ConfigFromArgs, MapsFlagsOntoBaseline) {
   EXPECT_DOUBLE_EQ(config.capacity_utilization, 0.75);
 }
 
+TEST(ConfigFromArgs, NoFlagsIsTheBaseline) {
+  // config_from_args is the baseline plus one set_parameter per flag, so
+  // with none given every field keeps the section-6 value.
+  const core::SystemConfig config = config_from_args(make_args({"analyze"}));
+  const core::SystemConfig baseline = core::SystemConfig::baseline();
+  EXPECT_EQ(config.node_set_size, baseline.node_set_size);
+  EXPECT_EQ(config.drive.her_per_byte, baseline.drive.her_per_byte);
+  EXPECT_EQ(config.restripe_command.value(),
+            baseline.restripe_command.value());
+  EXPECT_EQ(config.rebuild_bandwidth_fraction,
+            baseline.rebuild_bandwidth_fraction);
+  // Each canonical flag given at its baseline value is a no-op too.
+  const core::SystemConfig spelled = config_from_args(make_args(
+      {"analyze", "--her-exp", "14", "--restripe-kb", "1024", "--n", "64"}));
+  EXPECT_EQ(spelled.drive.her_per_byte, baseline.drive.her_per_byte);
+  EXPECT_EQ(spelled.restripe_command.value(),
+            baseline.restripe_command.value());
+}
+
 TEST(ConfigFromArgs, InvalidValuesAreRejected) {
   const Args args = make_args({"analyze", "--util", "1.5"});
   EXPECT_THROW((void)config_from_args(args), ContractViolation);
@@ -95,6 +114,20 @@ CommandResult run(std::initializer_list<const char*> tokens) {
   std::ostringstream out;
   std::ostringstream err;
   const int code = dispatch(make_args(tokens), out, err);
+  return {code, out.str(), err.str()};
+}
+
+std::string write_temp(const std::string& name, const std::string& bytes) {
+  const std::string path = ::testing::TempDir() + name;
+  std::ofstream out(path);
+  out << bytes;
+  return path;
+}
+
+CommandResult run_tokens(const std::vector<std::string>& tokens) {
+  std::ostringstream out;
+  std::ostringstream err;
+  const int code = dispatch(Args(tokens), out, err);
   return {code, out.str(), err.str()};
 }
 
@@ -136,18 +169,71 @@ TEST(Dispatch, OutOfDomainFlagsAreTypedUsageErrorsNamingTheFlag) {
       {{"availability", "--restore-hours", "inf"}, "--restore-hours"},
       // Positive and finite, but its reciprocal (the restore rate) is not.
       {{"availability", "--restore-hours", "1e-320"}, "--restore-hours"},
+      // System parameters: core::check at the boundary.
+      {{"analyze", "--node-mttf", "-5"}, "--node-mttf"},
+      {{"analyze", "--node-mttf", "1e400"}, "--node-mttf"},  // reads as +inf
+      {{"analyze", "--n", "-3"}, "--n"},
+      {{"analyze", "--r", "0"}, "--r"},
+      {{"analyze", "--d", "0"}, "--d"},
+      {{"analyze", "--r", "100"}, "--r"},  // above the node set size
+      {{"analyze", "--util", "2"}, "--util"},
+      {{"analyze", "--link-gbps", "0"}, "--link-gbps"},
+      {{"rebuild", "--n", "1"}, "--n"},
+      // Simulation options: sim::check at the boundary.
+      {{"simulate", "--ci-target", "-1"}, "--ci-target"},
+      {{"simulate", "--ci-target", "nan"}, "--ci-target"},
+      {{"simulate", "--chunk", "0"}, "--chunk"},
+      {{"simulate", "--ci-target", "0.05", "--trials", "100", "--max-trials",
+        "50"},
+       "--max-trials"},
+      {{"provision", "--years", "-1"}, "--years"},
+      {{"provision", "--confidence", "2"}, "--confidence"},
   };
-  for (const auto& c : cases) {
-    const CommandResult result = run_argv(c.argv);
-    EXPECT_EQ(result.exit_code, kExitUsage) << c.flag;
-    EXPECT_NE(result.err.find(std::string("cli.args: invalid_parameter: ") +
-                              c.flag),
-              std::string::npos)
-        << result.err;
+  const auto expect_typed = [](const CommandResult& result,
+                               const std::string& named) {
+    EXPECT_EQ(result.exit_code, kExitUsage) << named;
+    EXPECT_NE(result.err.find(named), std::string::npos) << result.err;
     EXPECT_EQ(result.err.find("precondition failed"), std::string::npos)
         << result.err;
     EXPECT_EQ(result.err.find("src/"), std::string::npos) << result.err;
+  };
+  for (const auto& c : cases) {
+    expect_typed(run_argv(c.argv),
+                 std::string("cli.args: invalid_parameter: ") + c.flag);
   }
+  // A scenario's [system] section goes through the same check.
+  const std::string util =
+      write_temp("bad_util.scenario", "[system]\nutil = 2\n");
+  expect_typed(run_tokens({"scenario", "--file", util}),
+               "scenario: invalid_parameter: [system] util");
+  const std::string huge_n =
+      write_temp("bad_n.scenario", "[system]\nn = 1e12\n");
+  expect_typed(run_tokens({"scenario", "--file", huge_n}),
+               "scenario: invalid_parameter: [system] n");
+  const std::string not_a_number =
+      write_temp("bad_number.scenario", "[system]\nutil = abc\n");
+  expect_typed(run_tokens({"scenario", "--file", not_a_number}),
+               "scenario: invalid_parameter: [system] util");
+}
+
+TEST(Dispatch, SweepPointsOutsideTheDomainAreInvalidParameterCells) {
+  // The base configuration is valid; only the swept points are not, so
+  // the run reports partial results with those cells marked.
+  const auto util = run({"sweep", "--param", "util", "--from", "0.5", "--to",
+                         "2", "--steps", "3"});
+  EXPECT_EQ(util.exit_code, kExitPartialResults);
+  EXPECT_NE(util.out.find("!invalid_parameter"), std::string::npos);
+  EXPECT_NE(util.err.find("invalid_parameter: util must be in (0, 1]"),
+            std::string::npos)
+      << util.err;
+  // A count past the int range is stored as 0 and rejected, never
+  // converted (that conversion is undefined behaviour).
+  const auto huge_n = run({"sweep", "--param", "n", "--from", "8", "--to",
+                           "1e12", "--steps", "2"});
+  EXPECT_EQ(huge_n.exit_code, kExitPartialResults);
+  EXPECT_NE(huge_n.err.find("invalid_parameter: n must be an integer"),
+            std::string::npos)
+      << huge_n.err;
 }
 
 TEST(Dispatch, HelpFlagPrintsUsageAndExitsZero) {
@@ -564,20 +650,6 @@ TEST(Dispatch, SimulateSweepTableAndJobsInvariance) {
 
 // ---------------------------------------------------------------------
 // `nsrel diff`: compare two written result sets.
-
-std::string write_temp(const std::string& name, const std::string& bytes) {
-  const std::string path = ::testing::TempDir() + name;
-  std::ofstream out(path);
-  out << bytes;
-  return path;
-}
-
-CommandResult run_tokens(const std::vector<std::string>& tokens) {
-  std::ostringstream out;
-  std::ostringstream err;
-  const int code = dispatch(Args(tokens), out, err);
-  return {code, out.str(), err.str()};
-}
 
 TEST(Diff, SelfCompareOfJobsVariantsExitsClean) {
   const auto serial =

@@ -2,6 +2,10 @@
 // normalization, method agreement, and target evaluation.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
+#include <string>
+
 #include "core/analyzer.hpp"
 #include "core/solve_cache.hpp"
 #include "util/assert.hpp"
@@ -41,19 +45,27 @@ TEST(Configuration, SensitivitySetMatchesSection6DownSelect) {
 }
 
 TEST(SystemConfig, BaselineIsValid) {
-  EXPECT_NO_THROW(SystemConfig::baseline().validate());
+  EXPECT_FALSE(check(SystemConfig::baseline()).has_value());
 }
 
 TEST(SystemConfig, ValidationCatchesBadFields) {
+  // Each failure is a typed invalid_parameter naming the parameter.
+  const auto expect_rejects = [](const SystemConfig& c, const char* name) {
+    const std::optional<Error> bad = check(c);
+    ASSERT_TRUE(bad.has_value()) << name;
+    EXPECT_EQ(bad->code, ErrorCode::kInvalidParameter);
+    EXPECT_EQ(bad->detail.rfind(std::string(name) + " ", 0), 0u)
+        << bad->detail;
+  };
   SystemConfig c = SystemConfig::baseline();
   c.node_set_size = 1;
-  EXPECT_THROW(c.validate(), ContractViolation);
+  expect_rejects(c, "n");
   c = SystemConfig::baseline();
   c.redundancy_set_size = 100;  // > N
-  EXPECT_THROW(c.validate(), ContractViolation);
+  expect_rejects(c, "r");
   c = SystemConfig::baseline();
   c.capacity_utilization = 0.0;
-  EXPECT_THROW(c.validate(), ContractViolation);
+  expect_rejects(c, "util");
 }
 
 TEST(Analyzer, CodeRateAccountsForBothLevels) {
@@ -147,6 +159,42 @@ TEST(SystemConfig, SetParameterCoversEveryAdvertisedName) {
   }
   SystemConfig config = SystemConfig::baseline();
   EXPECT_FALSE(set_parameter(config, "wombats", 1.0));
+}
+
+TEST(SystemConfig, CheckNamesEveryParameterItRejects) {
+  // NaN lies outside every parameter's domain, so each canonical name
+  // must come back as the parameter check() names.
+  for (const std::string& name : parameter_names()) {
+    SystemConfig config = SystemConfig::baseline();
+    ASSERT_TRUE(set_parameter(config, name, std::nan(""))) << name;
+    const std::optional<Error> bad = check(config);
+    ASSERT_TRUE(bad.has_value()) << name;
+    EXPECT_EQ(bad->code, ErrorCode::kInvalidParameter);
+    EXPECT_EQ(bad->detail.rfind(name + " ", 0), 0u) << bad->detail;
+  }
+  // Finiteness is part of every positive domain.
+  SystemConfig infinite = SystemConfig::baseline();
+  ASSERT_TRUE(set_parameter(infinite, "link-gbps", HUGE_VAL));
+  ASSERT_TRUE(check(infinite).has_value());
+  EXPECT_EQ(check(infinite)->detail.rfind("link-gbps ", 0), 0u);
+}
+
+TEST(SystemConfig, SetParameterNeverConvertsAnUnrepresentableCount) {
+  // Counts outside the int range are stored as 0 (no double->int
+  // overflow), which check() rejects under the parameter's name.
+  for (const double value : {1e12, -1e12, 3e9}) {
+    SystemConfig config = SystemConfig::baseline();
+    ASSERT_TRUE(set_parameter(config, "n", value));
+    EXPECT_EQ(config.node_set_size, 0) << value;
+    ASSERT_TRUE(check(config).has_value());
+    EXPECT_EQ(check(config)->detail.rfind("n ", 0), 0u);
+  }
+  // In range, a count truncates toward zero, as sweeps rely on.
+  SystemConfig config = SystemConfig::baseline();
+  ASSERT_TRUE(set_parameter(config, "r", 12.7));
+  EXPECT_EQ(config.redundancy_set_size, 12);
+  EXPECT_TRUE(is_count_parameter("d"));
+  EXPECT_FALSE(is_count_parameter("util"));
 }
 
 TEST(SystemConfig, SetParameterAppliesCorrectFields) {

@@ -68,6 +68,23 @@ TEST(GridBuilders, ParameterSweepUsesCanonicalNames) {
                ContractViolation);
 }
 
+TEST(GridBuilders, OutOfDomainPointsAreTheirOwnCellErrors) {
+  // The builders do not check points; evaluate() checks each one before
+  // its Analyzer exists, so only the bad point's cells fail.
+  const Grid grid = parameter_sweep(core::SystemConfig::baseline(), "util",
+                                    {0.5, 2.0}, kMixedConfigurations);
+  const ResultSet results = evaluate(grid, {.on_error = OnError::kSkip});
+  EXPECT_TRUE(results.ok(0, 0));
+  EXPECT_TRUE(results.ok(0, 1));
+  const std::vector<CellError> failures = results.errors();
+  ASSERT_EQ(failures.size(), 2u);
+  for (const CellError& failure : failures) {
+    EXPECT_EQ(failure.point, 1u);
+    EXPECT_EQ(failure.error.code, ErrorCode::kInvalidParameter);
+    EXPECT_EQ(failure.error.detail, "util must be in (0, 1]");
+  }
+}
+
 TEST(GridBuilders, SinglePointHasNoAxis) {
   const Grid grid =
       single_point(core::SystemConfig::baseline(), kMixedConfigurations);

@@ -6,7 +6,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "models/internal_raid.hpp"
@@ -16,6 +18,7 @@
 #include "sim/storage_simulator.hpp"
 #include "sim/weibull_simulator.hpp"
 #include "util/assert.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -279,6 +282,35 @@ TEST(ParallelEngine, RejectsInvalidOptions) {
   low_cap.ci_target = 0.05;
   low_cap.max_trials = 5;
   EXPECT_THROW((void)run_trials(one, 10, 0, low_cap), ContractViolation);
+}
+
+TEST(ParallelEngine, CheckNamesTheOffendingOption) {
+  EXPECT_FALSE(check(ParallelOptions{}, 2).has_value());
+  const auto rejects = [](const ParallelOptions& options, int trials,
+                          const std::string& name) {
+    const std::optional<Error> bad = check(options, trials);
+    ASSERT_TRUE(bad.has_value()) << name;
+    EXPECT_EQ(bad->code, ErrorCode::kInvalidParameter);
+    EXPECT_EQ(bad->detail.rfind(name + " ", 0), 0u) << bad->detail;
+  };
+  rejects(ParallelOptions{}, 1, "trials");
+  for (const double target : {-1.0, std::nan(""), HUGE_VAL}) {
+    ParallelOptions options;
+    options.ci_target = target;
+    rejects(options, 10, "ci-target");
+  }
+  ParallelOptions chunk;
+  chunk.chunk_trials = 0;
+  rejects(chunk, 10, "chunk");
+  ParallelOptions jobs;
+  jobs.jobs = -1;
+  rejects(jobs, 10, "jobs");
+  ParallelOptions cap;
+  cap.ci_target = 0.05;
+  cap.max_trials = 5;
+  rejects(cap, 10, "max-trials");
+  cap.ci_target = 0.0;  // the cap only binds in adaptive mode
+  EXPECT_FALSE(check(cap, 10).has_value());
 }
 
 TEST(ParallelEngine, JobsZeroUsesAllCoresAndStaysDeterministic) {

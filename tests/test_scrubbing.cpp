@@ -62,7 +62,7 @@ TEST(Scrubbing, ApplyProducesValidConfig) {
   const core::SystemConfig system = core::SystemConfig::baseline();
   const core::SystemConfig scrubbed =
       ScrubbingModel(with_period(720.0)).apply(system);
-  EXPECT_NO_THROW(scrubbed.validate());
+  EXPECT_FALSE(check(scrubbed).has_value());
   EXPECT_LT(scrubbed.drive.her_per_byte, system.drive.her_per_byte);
   EXPECT_LT(scrubbed.rebuild_bandwidth_fraction,
             system.rebuild_bandwidth_fraction);
